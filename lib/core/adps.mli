@@ -76,9 +76,11 @@ val analysis_session :
     accumulated profile, combine every constraint source (API-pin
     static analysis, {!static_constraints}, [extra_constraints]), and
     build the network-independent analysis session. Raises
-    [Invalid_argument] if the image holds no profile. With [profiler],
-    profile loading and constraint assembly record under the
-    ["profile_load"] phase, the graph build under ["icc_graph_build"]. *)
+    [Invalid_argument] if the image holds no profile. The static
+    interface flow is recomputed on every call. With [profiler], the
+    ["profile_load"] phase covers config-record decode, the static
+    interface-flow pass ({!static_constraints}) and the constraint
+    merge; the graph build records under ["icc_graph_build"]. *)
 
 val analyze_with :
   ?algorithm:Coign_flowgraph.Mincut.algorithm ->

@@ -3,21 +3,19 @@ open Coign_image
 
 module SS = Set.Make (String)
 
-module SP = Set.Make (struct
-  type t = string * string
-
-  let compare = compare
-end)
-
 let main_class = Coign_com.Runtime.main_class_name
 
+(* Classes are interned to ids in name order, so scanning the adjacency
+   matrix row by row yields pairs sorted by (name, name). *)
 type t = {
-  meta : Image_meta.t;
-  refs : SP.t;  (* (a, b): code in a can hold an interface handle on b *)
+  classes : (string * int) list;  (* the image's class table, with ids *)
+  names : string array;
+  main : int;
+  refs : Bytes.t;  (* n*n; [a*n + b] set: code in a can hold an interface handle on b *)
+  succs : int list array;  (* out-lists of [refs] *)
+  exports_nr : bool array;  (* the class exports a non-remotable interface *)
   non_remotable : SS.t;  (* interface names with a non-remotable method *)
 }
-
-let norm a b = if a <= b then (a, b) else (b, a)
 
 let rec iface_names acc = function
   | Idl_type.Iface n -> SS.add n acc
@@ -54,140 +52,174 @@ let iface_remotable (i : Image_meta.iface) =
   List.for_all Idl_type.method_remotable i.Image_meta.if_methods
 
 let analyze (meta : Image_meta.t) =
-  let impl =
-    List.fold_left
-      (fun m (c : Image_meta.cls) ->
-        (c.Image_meta.cl_name, SS.of_list c.Image_meta.cl_provides) :: m)
-      [] meta.Image_meta.classes
+  let classes = meta.Image_meta.classes in
+  let names =
+    main_class :: meta.Image_meta.roots
+    @ List.concat_map
+        (fun (c : Image_meta.cls) -> c.Image_meta.cl_name :: c.Image_meta.cl_creates)
+        classes
+    |> List.sort_uniq String.compare |> Array.of_list
   in
-  let impl_of name =
-    Option.value ~default:SS.empty (List.assoc_opt name impl)
+  let n = Array.length names in
+  let id =
+    let h = Hashtbl.create (2 * n) in
+    Array.iteri (fun i s -> Hashtbl.replace h s i) names;
+    Hashtbl.find h
   in
-  let yields_of, accepts_of =
-    let tbl f =
-      let h = Hashtbl.create 32 in
-      List.iter
-        (fun (i : Image_meta.iface) ->
-          Hashtbl.replace h i.Image_meta.if_name
-            (List.fold_left
-               (fun acc m -> SS.union acc (f m))
-               SS.empty i.Image_meta.if_methods))
-        meta.Image_meta.ifaces;
-      fun name -> Option.value ~default:SS.empty (Hashtbl.find_opt h name)
+  (* What each class implements; a repeated class name takes its last
+     entry, a repeated interface name its last declaration. *)
+  let provides = Array.make n [] in
+  List.iter
+    (fun (c : Image_meta.cls) ->
+      provides.(id c.Image_meta.cl_name) <- c.Image_meta.cl_provides)
+    classes;
+  let sigs = Hashtbl.create 32 in
+  List.iter
+    (fun (i : Image_meta.iface) ->
+      let union f =
+        List.fold_left (fun acc m -> SS.union acc (f m)) SS.empty i.Image_meta.if_methods
+      in
+      Hashtbl.replace sigs i.Image_meta.if_name (union method_yields, union method_accepts))
+    meta.Image_meta.ifaces;
+  (* Only interfaces some class implements can ever match, so only they
+     are interned: the columns of the [impl] bit-matrix. *)
+  let iid = Hashtbl.create 32 in
+  Array.iter
+    (List.iter (fun j ->
+         if not (Hashtbl.mem iid j) then Hashtbl.add iid j (Hashtbl.length iid)))
+    provides;
+  let m = Hashtbl.length iid in
+  let impl = Bytes.make (n * m) '\000' in
+  Array.iteri
+    (fun c js -> List.iter (fun j -> Bytes.set impl ((c * m) + Hashtbl.find iid j) '\001') js)
+    provides;
+  (* Per class: implemented interface ids its own interfaces can yield
+     to a caller, and accept from one. *)
+  let yields, accepts =
+    let ids pick c =
+      List.fold_left
+        (fun acc i ->
+          match Hashtbl.find_opt sigs i with
+          | Some s -> SS.union acc (pick s)
+          | None -> acc)
+        SS.empty provides.(c)
+      |> SS.elements |> List.filter_map (Hashtbl.find_opt iid)
     in
-    (tbl method_yields, tbl method_accepts)
+    (Array.init n (ids fst), Array.init n (ids snd))
+  in
+  let matches js c = List.exists (fun j -> Bytes.get impl ((c * m) + j) <> '\000') js in
+  let refs = Bytes.make (n * n) '\000' in
+  let succs = Array.make n [] and preds = Array.make n [] in
+  let queue = Queue.create () in
+  let add a b =
+    let k = (a * n) + b in
+    if Bytes.get refs k = '\000' then begin
+      Bytes.set refs k '\001';
+      succs.(a) <- b :: succs.(a);
+      preds.(b) <- a :: preds.(b);
+      Queue.add k queue
+    end
   in
   (* Seed: instantiating a class grants a handle on it. The main
      program instantiates the image roots. *)
-  let seed =
-    List.fold_left
-      (fun refs (c : Image_meta.cls) ->
-        List.fold_left
-          (fun refs child ->
-            if child = c.Image_meta.cl_name then refs
-            else SP.add (c.Image_meta.cl_name, child) refs)
-          refs c.Image_meta.cl_creates)
-      (List.fold_left
-         (fun refs root -> SP.add (main_class, root) refs)
-         SP.empty meta.Image_meta.roots)
-      meta.Image_meta.classes
-  in
-  (* providers x j: instances x can supply a [j]-typed handle for —
-     itself, or anything it already references that implements j. *)
-  let providers refs x j =
-    let own = if SS.mem j (impl_of x) then SS.singleton x else SS.empty in
-    SP.fold
-      (fun (a, b) acc -> if a = x && SS.mem j (impl_of b) then SS.add b acc else acc)
-      refs own
-  in
-  (* Fixpoint. Holding any interface of b implies access to all of
-     impl(b) — the runtime's query_interface honours every such request
-     — so flow is computed per class pair, closed over QI:
-       refs(a,b) ∧ j ∈ yields(impl b)  ⇒  refs(a, providers b j)
-       refs(a,b) ∧ j ∈ accepts(impl b) ⇒  refs(b, providers a j)   *)
-  let step refs =
-    SP.fold
-      (fun (a, b) acc ->
-        SS.fold
-          (fun i acc ->
-            let acc =
-              SS.fold
-                (fun j acc ->
-                  SS.fold
-                    (fun c acc -> if c = a then acc else SP.add (a, c) acc)
-                    (providers refs b j) acc)
-                (yields_of i) acc
-            in
-            SS.fold
-              (fun j acc ->
-                SS.fold
-                  (fun c acc -> if c = b then acc else SP.add (b, c) acc)
-                  (providers refs a j) acc)
-              (accepts_of i) acc)
-          (impl_of b) acc)
-      refs refs
-  in
-  let rec fix refs =
-    let refs' = step refs in
-    if SP.equal refs refs' then refs else fix refs'
-  in
-  let refs = fix seed in
+  let main = id main_class in
+  List.iter (fun r -> add main (id r)) meta.Image_meta.roots;
+  List.iter
+    (fun (c : Image_meta.cls) ->
+      let a = id c.Image_meta.cl_name in
+      List.iter
+        (fun child -> if child <> c.Image_meta.cl_name then add a (id child))
+        c.Image_meta.cl_creates)
+    classes;
+  (* Holding any interface of b grants all of impl(b) — query_interface
+     honours every such request — so flow is per class pair. With
+     providers(x, j) = {x if x implements j} ∪ {c | refs(x,c), c implements j}:
+       R1: refs(a,b) ∧ j ∈ yields(b)  ⇒ refs(a, providers(b, j) \ {a})
+       R2: refs(a,b) ∧ j ∈ accepts(b) ⇒ refs(b, providers(a, j) \ {b})
+     Semi-naive worklist: each edge is queued once, when first added,
+     and popping it fires every rule instance it is a premise of, the
+     other premise taken from the edges already known. The rules are
+     monotone, so this reaches the same least fixpoint as iterating them
+     over the whole relation. *)
+  while not (Queue.is_empty queue) do
+    let k = Queue.pop queue in
+    let a = k / n and b = k mod n in
+    (* R1: b hands a whatever it holds that b's interfaces yield. *)
+    List.iter (fun c -> if c <> a && matches yields.(b) c then add a c) succs.(b);
+    (* R2: a hands b itself, or anything it holds, that b accepts. *)
+    if a <> b && matches accepts.(b) a then add b a;
+    List.iter
+      (fun c ->
+        if c <> b then begin
+          if matches accepts.(b) c then add b c;
+          (* R2 re-fired: providers(a, _) gained b, so a can hand b to
+             every c it holds. *)
+          if matches accepts.(c) b then add c b
+        end)
+      succs.(a);
+    (* R1 re-fired: providers(a, _) gained b, so every holder of a can
+       obtain b. *)
+    if matches yields.(a) b then List.iter (fun x -> if x <> b then add x b) preds.(a)
+  done;
   let non_remotable =
     List.fold_left
       (fun acc (i : Image_meta.iface) ->
         if iface_remotable i then acc else SS.add i.Image_meta.if_name acc)
       SS.empty meta.Image_meta.ifaces
   in
-  { meta; refs; non_remotable }
+  (* A repeated class name resolves to its first entry, as in
+     [Image_meta.cls]. *)
+  let exports_nr = Array.make n false in
+  List.iter
+    (fun (c : Image_meta.cls) ->
+      exports_nr.(id c.Image_meta.cl_name) <-
+        List.exists (fun i -> SS.mem i non_remotable) c.Image_meta.cl_provides)
+    (List.rev classes);
+  let classes =
+    List.map (fun (c : Image_meta.cls) -> (c.Image_meta.cl_name, id c.Image_meta.cl_name)) classes
+  in
+  { classes; names; main; refs; succs; exports_nr; non_remotable }
 
-let references t = SP.elements t.refs
+let n t = Array.length t.names
+
+let has t a b = Bytes.get t.refs ((a * n t) + b) <> '\000'
+
+(* Pairs (a, b) with [keep a b] in (name, name) order. *)
+let pairs_where t keep =
+  let acc = ref [] in
+  for a = n t - 1 downto 0 do
+    for b = n t - 1 downto 0 do
+      if keep a b then acc := (t.names.(a), t.names.(b)) :: !acc
+    done
+  done;
+  !acc
+
+let references t = pairs_where t (has t)
 
 let non_remotable_ifaces t = SS.elements t.non_remotable
-
-let class_non_remotable t name =
-  not (SS.is_empty (SS.inter (SS.of_list
-    (match Image_meta.cls t.meta name with
-     | Some c -> c.Image_meta.cl_provides
-     | None -> []))
-    t.non_remotable))
 
 (* a and b must share a machine when either can call a non-remotable
    method of the other, i.e. either references the other and the
    referenced side exports a non-remotable interface. *)
 let non_remotable_pairs t =
-  SP.fold
-    (fun (a, b) acc ->
-      if a = main_class || b = main_class then acc
-      else if class_non_remotable t b then SP.add (norm a b) acc
-      else acc)
-    t.refs SP.empty
-  |> SP.elements
+  let must a b = a <> t.main && b <> t.main && has t a b && t.exports_nr.(b) in
+  pairs_where t (fun a b -> a <= b && (must a b || must b a))
 
 let client_pins t =
-  SP.fold
-    (fun (a, b) acc ->
-      if a = main_class && class_non_remotable t b then SS.add b acc else acc)
-    t.refs SS.empty
-  |> SS.elements
+  List.filter_map
+    (fun b -> if t.exports_nr.(b) then Some t.names.(b) else None)
+    (List.sort compare t.succs.(t.main))
 
 let unreachable_classes t =
-  let succs x =
-    SP.fold (fun (a, b) acc -> if a = x then SS.add b acc else acc) t.refs SS.empty
+  let reached = Array.make (n t) false in
+  let rec walk x =
+    if not reached.(x) then begin
+      reached.(x) <- true;
+      List.iter walk t.succs.(x)
+    end
   in
-  let rec walk seen frontier =
-    if SS.is_empty frontier then seen
-    else
-      let next =
-        SS.fold (fun x acc -> SS.union acc (succs x)) frontier SS.empty
-      in
-      let fresh = SS.diff next seen in
-      walk (SS.union seen fresh) fresh
-  in
-  let reached = walk (SS.singleton main_class) (SS.singleton main_class) in
-  List.filter_map
-    (fun (c : Image_meta.cls) ->
-      if SS.mem c.Image_meta.cl_name reached then None else Some c.Image_meta.cl_name)
-    t.meta.Image_meta.classes
+  walk t.main;
+  List.filter_map (fun (name, c) -> if reached.(c) then None else Some name) t.classes
 
 let constraints_of t =
   let c =

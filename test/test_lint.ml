@@ -186,20 +186,22 @@ let check_golden app_name golden_path () =
 
 let net () = Net_profiler.profile (Coign_util.Prng.create 42L) Network.ethernet_10
 
-let photodraw_profiled =
-  lazy
-    (let app = Photodraw.app in
-     let image = Adps.instrument app.App.app_image in
-     let sc = App.bigone app in
-     let image, _ = Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run in
-     image)
+let profile_bigone (app : App.t) =
+  let image = Adps.instrument app.App.app_image in
+  let sc = App.bigone app in
+  let image, _ = Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run in
+  image
+
+let profiled =
+  List.map (fun (app : App.t) -> (app.App.app_name, lazy (profile_bigone app))) Suite.all
+
+let photodraw_profiled = List.assoc "photodraw" profiled
 
 (* Every non-remotable class pair the dynamic profiler discovers (the
    paper's figure-5 "black web") must already be known statically:
    either as a non-remotable co-location pair or — when one endpoint is
    the main program — as a client pin. *)
-let test_static_covers_dynamic () =
-  let image = Lazy.force photodraw_profiled in
+let check_static_covers_dynamic (app : App.t) image =
   let classifier, icc = Option.get (Adps.load_profile image) in
   let meta = Option.get image.Binary_image.meta in
   let flow = Interface_flow.analyze meta in
@@ -216,7 +218,6 @@ let test_static_covers_dynamic () =
     |> List.sort_uniq compare
     |> List.filter (fun (a, b) -> a <> b)
   in
-  Alcotest.(check bool) "profiler saw non-remotable traffic" true (dynamic <> []);
   List.iter
     (fun (a, b) ->
       let covered =
@@ -224,8 +225,21 @@ let test_static_covers_dynamic () =
         else if b = main then List.mem a pins
         else List.mem (a, b) static_pairs
       in
-      Alcotest.(check bool) (Printf.sprintf "static covers %s <-> %s" a b) true covered)
-    dynamic
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: static covers %s <-> %s" app.App.app_name a b)
+        true covered)
+    dynamic;
+  (* Not vacuous: an app declaring a non-remotable interface uses it. *)
+  Alcotest.(check bool)
+    (app.App.app_name ^ ": profiler saw non-remotable traffic")
+    (Interface_flow.non_remotable_ifaces flow <> [])
+    (dynamic <> [])
+
+let test_static_covers_dynamic () =
+  List.iter
+    (fun (app : App.t) ->
+      check_static_covers_dynamic app (Lazy.force (List.assoc app.App.app_name profiled)))
+    Suite.all
 
 let test_analyze_accepts_own_cut () =
   let image = Lazy.force photodraw_profiled in
@@ -272,6 +286,7 @@ let suite =
       (check_golden "octarine" "golden/lint_octarine.txt");
     Alcotest.test_case "golden: benefits" `Quick
       (check_golden "benefits" "golden/lint_benefits.txt");
+    Alcotest.test_case "golden: ingest" `Quick (check_golden "ingest" "golden/lint_ingest.txt");
     Alcotest.test_case "static covers dynamic web" `Slow test_static_covers_dynamic;
     Alcotest.test_case "analyze accepts its own cut" `Slow test_analyze_accepts_own_cut;
     Alcotest.test_case "forced split rejected" `Slow test_forced_split_rejected;

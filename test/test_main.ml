@@ -23,6 +23,7 @@ let () =
       ("extensions", Test_extensions.suite);
       ("obs", Test_obs.suite);
       ("lint", Test_lint.suite);
+      ("flow", Test_flow.suite);
       ("verify", Test_verify.suite);
       ("cli", Test_cli.suite);
     ]
