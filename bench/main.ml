@@ -672,7 +672,6 @@ let drift () =
             dc_seed = 1L;
             dc_faults = None;
             dc_retry = Coign_netsim.Fault.default_retry;
-            dc_resilience = None;
             dc_fleet = None;
             dc_watch = None;
           }
@@ -1238,7 +1237,6 @@ let watch_bench () =
             dc_seed = 0x5EEDL;
             dc_faults = None;
             dc_retry = Coign_netsim.Fault.default_retry;
-            dc_resilience = None;
             dc_fleet = None;
             dc_watch = wc;
           }
@@ -1377,7 +1375,7 @@ let fleet_bench () =
     grids;
   print_string (Tablefmt.render t);
   (* Gate 1: every pool-of-one cell is bit-identical to the two-host
-     resilience path — the install-time identity rewrite did fire. *)
+     resilience ladder, which is itself the one-host pool. *)
   let all_identical =
     List.for_all
       (fun (_, _, grid) ->
@@ -1425,8 +1423,8 @@ let fleet_bench () =
   if not all_identical then exit 3;
   if improved < 2 then exit 3;
   note
-    "Expected shape: a pool of one is rewritten at install time into the plain\n\
-     resilience configuration, so those rows tie bit for bit; wider pools ride\n\
+    "Expected shape: resilience is the one-host pool, so a pool of one ties the\n\
+     resilience configuration bit for bit; wider pools ride\n\
      out the crash by promoting the dead host's shards onto standing replicas,\n\
      so the fleet keeps serving remotely while the ladder has already retreated\n\
      to its all-client rung.\n"

@@ -38,7 +38,6 @@ let run_distributed image (app : App.t) (sc : App.scenario) =
           dc_seed = 0xDA7L;
           dc_faults = None;
           dc_retry = Fault.default_retry;
-          dc_resilience = None;
           dc_fleet = None;
           dc_watch = None;
         }

@@ -165,7 +165,7 @@ type exec_stats = {
   es_unreachable : int;
   es_fault_us : float;
   es_completed : bool;
-  (* Resilience counters — zero unless a resilience policy ran. *)
+  (* Ladder counters — zero unless a ladder ran. *)
   es_breaker_opens : int;
   es_breaker_closes : int;
   es_failovers : int;
@@ -186,7 +186,7 @@ type exec_stats = {
 
 let execute_with_policy_full ?loggers ?tracer ?metrics ~registry ~classifier ~policy ~network
     ?(jitter = 0.) ?(seed = 0x5EEDL) ?faults ?(retry = Coign_netsim.Fault.default_retry)
-    ?resilience ?watch ?fleet scenario =
+    ?ladder ?watch scenario =
   let ctx = Runtime.create_ctx registry in
   let rte =
     Rte.install_distributed ?loggers ?tracer ?metrics ~classifier
@@ -198,9 +198,8 @@ let execute_with_policy_full ?loggers ?tracer ?metrics ~registry ~classifier ~po
           dc_seed = seed;
           dc_faults = faults;
           dc_retry = retry;
-          dc_resilience = resilience;
           dc_watch = watch;
-          dc_fleet = fleet;
+          dc_fleet = ladder;
         }
       ctx
   in
@@ -262,7 +261,7 @@ let execute_with_policy ?loggers ?tracer ?metrics ~registry ~classifier ~policy 
     ?jitter ?seed ?faults ?retry ?resilience ?watch scenario =
   fst
     (execute_with_policy_full ?loggers ?tracer ?metrics ~registry ~classifier ~policy ~network
-       ?jitter ?seed ?faults ?retry ?resilience ?watch scenario)
+       ?jitter ?seed ?faults ?retry ?ladder:resilience ?watch scenario)
 
 let execute ?loggers ?tracer ?metrics ~image ~registry ~network ?jitter ?seed ?faults ?retry
     ?resilience ?watch scenario =
@@ -276,11 +275,7 @@ let execute ?loggers ?tracer ?metrics ~image ~registry ~network ?jitter ?seed ?f
         ~policy:(Factory.By_classification distribution) ~network ?jitter ?seed ?faults ?retry
         ?resilience ?watch scenario
 
-(* Pool runs report fleet counters alongside the shared stats. When
-   the install-time identity gate rewrote a pool of one into the plain
-   resilience path, the RTE holds no fleet state — synthesize the
-   counters from the shared set (promotions, splits and resizes are
-   structurally zero with a single host). *)
+(* Pool runs report fleet counters alongside the shared stats. *)
 let execute_fleet ?loggers ?tracer ?metrics ~image ~registry ~network ?jitter ?seed ?faults
     ?retry ~fleet scenario =
   let config = config_of image in
@@ -292,30 +287,9 @@ let execute_fleet ?loggers ?tracer ?metrics ~image ~registry ~network ?jitter ?s
       let stats, fs =
         execute_with_policy_full ?loggers ?tracer ?metrics ~registry ~classifier
           ~policy:(Factory.By_classification distribution) ~network ?jitter ?seed ?faults
-          ?retry ~fleet scenario
+          ?retry ~ladder:fleet scenario
       in
-      let fs =
-        match fs with
-        | Some fs -> fs
-        | None ->
-            {
-              Rte.fs_breaker_opens = stats.es_breaker_opens;
-              fs_breaker_closes = stats.es_breaker_closes;
-              fs_failovers = stats.es_failovers;
-              fs_failbacks = stats.es_failbacks;
-              fs_migrations = stats.es_migrations;
-              fs_stranded_calls = stats.es_stranded_calls;
-              fs_rescued_calls = stats.es_rescued_calls;
-              fs_promotions = 0;
-              fs_splits = 0;
-              fs_resizes = 0;
-              fs_inter_host_calls = 0;
-              fs_final_rung = stats.es_final_rung;
-              fs_final_hosts = 1;
-              fs_final_shards = 1;
-            }
-      in
-      (stats, fs)
+      (stats, Option.get fs)
 
 (* Build the resilience ladder for a profiled image: rung 0 is the
    image's stored distribution when it has one (so failback restores

@@ -146,7 +146,7 @@ type exec_stats = {
   es_completed : bool;
       (** false when the scenario was cut short by [E_unreachable]; the
           stats cover everything that ran up to the abandoned call *)
-  es_breaker_opens : int;    (** breaker trips (zero without resilience) *)
+  es_breaker_opens : int;    (** breaker trips (zero without a ladder) *)
   es_breaker_closes : int;
   es_failovers : int;        (** switches down the fallback ladder *)
   es_failbacks : int;        (** switches back up to the primary *)
@@ -214,12 +214,10 @@ val execute_fleet :
   scenario ->
   exec_stats * Rte.fleet_stats
 (** {!execute} under a replicated server pool ({!Rte.fleet_config}),
-    returning the pool counters alongside the shared stats. When the
-    install-time identity gate rewrote a pool of one into the plain
-    resilience path, the fleet counters are synthesized from the
-    shared set (promotions, splits and resizes zero, one host, one
-    shard) — the run itself is bit-identical to {!execute} with the
-    equivalent [resilience]. *)
+    returning the pool counters alongside the shared stats.
+    Resilience is the one-host pool, so a pool of one with no host
+    overlays is the same run as {!execute} with the equivalent
+    [resilience], bit for bit. *)
 
 val watch :
   ?profiler:Coign_obs.Profiler.t ->

@@ -257,7 +257,9 @@ let components session =
   end;
   Array.init n find
 
-let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shape dist =
+(* [predict] prices the sharded placement, given each classification's
+   host ([-1] = client side). *)
+let pool_rung ~name ~component ~comp_safe ~shape ~predict dist =
   let n = Array.length component in
   let map = shape.Pool.sh_map in
   let shard_count = Pool.shard_count map in
@@ -280,7 +282,6 @@ let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shape dist =
     else if shard_of.(v) < 0 then -1
     else Pool.host_of shape shard_of.(v)
   in
-  let predicted = Multiway_analysis.predicted_assignment_us graph pricing ~assignment in
   {
     pr_name = name;
     pr_distribution = dist;
@@ -288,7 +289,7 @@ let pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shape dist =
     pr_shard_of = shard_of;
     pr_shard_count = shard_count;
     pr_replicated = replicated;
-    pr_predicted_us = predicted;
+    pr_predicted_us = predict assignment;
   }
 
 let pool_ladder ?(replicas = 2) ?map ~hosts session ~net base =
@@ -304,9 +305,10 @@ let pool_ladder ?(replicas = 2) ?map ~hosts session ~net base =
       if not (migration_safe base c) then comp_safe.(rep) <- false)
     component;
   let map = match map with Some m -> (Pool.shape ~map:m hosts).Pool.sh_map | None -> Pool.Hash hosts in
+  let predict assignment = Multiway_analysis.predicted_assignment_us graph pricing ~assignment in
   let rung_at ~name ~k dist =
     let shape = Pool.shape ~replicas:(min replicas k) ~map k in
-    pool_rung ~name ~graph ~pricing ~component ~comp_safe ~shape dist
+    pool_rung ~name ~component ~comp_safe ~shape ~predict dist
   in
   let primary = base.fb_rungs.(0).rg_distribution in
   let wide =
@@ -319,6 +321,21 @@ let pool_ladder ?(replicas = 2) ?map ~hosts session ~net base =
       (Array.map (fun r -> rung_at ~name:r.rg_name ~k:1 r.rg_distribution) base.fb_rungs)
   in
   { pl_rungs = Array.of_list (wide @ narrow); pl_component = component; pl_base = base }
+
+(* Without a session there is no graph to find components in or price
+   against: every classification is its own component, and each rung
+   keeps its two-way cut's predicted time — with one host, no traffic
+   crosses between pool hosts. *)
+let pool_of_one base =
+  let component = Array.init (Array.length base.fb_migration_safe) Fun.id in
+  let shape = Pool.shape 1 in
+  let rung r =
+    let d = r.rg_distribution in
+    pool_rung ~name:r.rg_name ~component ~comp_safe:base.fb_migration_safe ~shape
+      ~predict:(fun _ -> d.Analysis.predicted_comm_us)
+      d
+  in
+  { pl_rungs = Array.map rung base.fb_rungs; pl_component = component; pl_base = base }
 
 let pool_rung_count pl = Array.length pl.pl_rungs
 let pool_rung_at pl i = pl.pl_rungs.(i)

@@ -107,8 +107,9 @@ val decode : string -> t
     into a {!Pool.shape}: the top rung runs the primary cut's server
     side sharded across [hosts] machines, intermediate rungs shrink
     the pool one host at a time, and the final rungs are exactly the
-    base ladder at pool size 1 — so a pool of one is the PR 5
-    resilience path, bit for bit.  Sharding is by component (connected
+    base ladder at pool size 1.  Resilience is the one-host pool: the
+    RTE runs every ladder as a pool, and the two-host ladder is the
+    pool whose widest rung has one host ({!pool_of_one}).  Sharding is by component (connected
     groups under non-remotable edges and co-location constraints, keyed
     by the component's smallest classification), migration-unsafe
     components are pinned to shard 0 and never replicated, and each
@@ -150,6 +151,13 @@ val pool_ladder :
     pool size — so a key's shard never changes as the pool breathes.
     [replicas] (default 2) is clamped to each rung's host count.
     Raises {!Invalid} on [hosts < 1] or [replicas < 1]. *)
+
+val pool_of_one : t -> pool_ladder
+(** The base ladder as a one-host pool, without an analysis session:
+    the same rung names, distributions, shard tables and replication
+    flags as [pool_ladder ~hosts:1], with every classification its own
+    component and each rung's predicted time taken from its two-way
+    cut.  This is the ladder {!Rte.resilience} runs. *)
 
 val pool_rung_count : pool_ladder -> int
 val pool_rung_at : pool_ladder -> int -> pool_rung

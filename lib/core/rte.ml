@@ -60,63 +60,55 @@ let make_instruments reg =
       histogram reg ~help:"Cross-wrapper reply message sizes, in bytes." "coign_rte_reply_bytes";
   }
 
-(* Resilience instruments, separate from the base set so a run without
-   a resilience policy exposes exactly the metrics it always did. *)
-type resil_instruments = {
-  ri_opens : Metrics.counter;
-  ri_closes : Metrics.counter;
-  ri_failovers : Metrics.counter;
-  ri_failbacks : Metrics.counter;
-  ri_migrations : Metrics.counter;
-  ri_stranded : Metrics.counter;
-  ri_rescued : Metrics.counter;
-  ri_wait_us : Metrics.counter;
-  ri_rung : Metrics.gauge;
-  ri_ewma : Metrics.gauge;
+(* Breaker and ladder instruments, separate from the base set so a run
+   without a ladder exposes exactly the metrics it always did. *)
+type ladder_instruments = {
+  li_opens : Metrics.counter;
+  li_closes : Metrics.counter;
+  li_failovers : Metrics.counter;
+  li_failbacks : Metrics.counter;
+  li_migrations : Metrics.counter;
+  li_stranded : Metrics.counter;
+  li_rescued : Metrics.counter;
+  li_wait_us : Metrics.counter;
+  li_rung : Metrics.gauge;
+  li_ewma : Metrics.gauge;
 }
 
-let make_resil_instruments reg =
+let make_ladder_instruments reg =
   let open Metrics in
   {
-    ri_opens =
+    li_opens =
       counter reg ~help:"Circuit-breaker open transitions." "coign_resilience_breaker_opens_total";
-    ri_closes =
+    li_closes =
       counter reg ~help:"Circuit-breaker close transitions."
         "coign_resilience_breaker_closes_total";
-    ri_failovers =
+    li_failovers =
       counter reg ~help:"Placement switches down the fallback ladder."
         "coign_resilience_failovers_total";
-    ri_failbacks =
+    li_failbacks =
       counter reg ~help:"Placement switches back up the fallback ladder."
         "coign_resilience_failbacks_total";
-    ri_migrations =
+    li_migrations =
       counter reg ~help:"Instances migrated live between machines."
         "coign_resilience_migrated_instances_total";
-    ri_stranded =
+    li_stranded =
       counter reg ~help:"Calls that had to wait out an open breaker."
         "coign_resilience_stranded_calls_total";
-    ri_rescued =
+    li_rescued =
       counter reg ~help:"Failed remote calls completed locally after failover."
         "coign_resilience_rescued_calls_total";
-    ri_wait_us =
+    li_wait_us =
       counter reg ~help:"Virtual time stranded calls spent waiting on cooloffs, in microseconds."
         "coign_resilience_wait_us_total";
-    ri_rung = gauge reg ~help:"Fallback rung currently installed (0 = primary)." "coign_resilience_rung";
-    ri_ewma =
+    li_rung = gauge reg ~help:"Fallback rung currently installed (0 = primary)." "coign_resilience_rung";
+    li_ewma =
       gauge reg ~help:"EWMA link health (1 = all successes)." "coign_resilience_link_ewma";
   }
 
-type resilience_config = {
-  rc_ladder : Fallback.t;
-  rc_health : Health.policy;
-  rc_max_probe_rounds : int;
-}
-
-let resilience ?(health = Health.default_policy) ?(max_probe_rounds = 8) ladder =
-  { rc_ladder = ladder; rc_health = health; rc_max_probe_rounds = max_probe_rounds }
-
-(* Fleet instruments, separate from both base and resilience sets: a
-   run without a pool exposes exactly the metrics it always did. *)
+(* Fleet instruments, registered only when the widest rung has more
+   than one host: a one-host ladder exposes exactly the breaker and
+   ladder set. *)
 type fleet_instruments = {
   fi_promotions : Metrics.counter;
   fi_splits : Metrics.counter;
@@ -160,6 +152,7 @@ let fleet ?(health = Health.default_policy) ?(max_probe_rounds = 8) ?(split_shar
   if not (split_share > 0. && split_share <= 1.) then
     invalid_arg "Rte.fleet: split_share must be in (0, 1]";
   if check_every < 1 then invalid_arg "Rte.fleet: check_every must be >= 1";
+  if max_probe_rounds < 1 then invalid_arg "Rte.fleet: max_probe_rounds must be >= 1";
   {
     fc_ladder = ladder;
     fc_health = health;
@@ -170,7 +163,12 @@ let fleet ?(health = Health.default_policy) ?(max_probe_rounds = 8) ?(split_shar
     fc_host_faults = host_faults;
   }
 
-(* Watch instruments, separate for the same reason as the resilience
+type resilience_config = fleet_config
+
+let resilience ?health ?max_probe_rounds ladder =
+  fleet ?health ?max_probe_rounds (Fallback.pool_of_one ladder)
+
+(* Watch instruments, separate for the same reason as the ladder
    set: a run without a watch exposes exactly the metrics it always
    did. *)
 type watch_instruments = {
@@ -284,66 +282,52 @@ type watch = {
   mutable w_timeline : watch_checkpoint list;  (* reversed *)
 }
 
-(* Mutable resilience state: breaker, current rung, counters. *)
-type resil = {
-  r_ladder : Fallback.t;
-  r_health : Health.t;
-  r_max_probe_rounds : int;
-  r_obs : resil_instruments option;
-  mutable r_rung : int;
-  mutable r_breaker_opens : int;
-  mutable r_breaker_closes : int;
-  mutable r_failovers : int;
-  mutable r_failbacks : int;
-  mutable r_migrations : int;
-  mutable r_stranded : int; (* calls that waited on an open breaker *)
-  mutable r_rescued : int; (* failed calls completed locally after failover *)
+(* Mutable ladder state: per-host breakers and fault models, the
+   dynamic shard table (splits grow it), per-shard active hosts,
+   counters. The two-host resilience ladder is the pool whose widest
+   rung has one host. *)
+type pool = {
+  p_config : fleet_config;
+  p_ladder : Fallback.pool_ladder;
+  p_health : Health.t array; (* one breaker per pool host link *)
+  p_faults : Fault.t option array; (* one fault model per host link *)
+  p_lobs : ladder_instruments option;
+  p_obs : fleet_instruments option; (* only when the widest rung has > 1 host *)
+  p_safe : bool array; (* per-classification migration safety *)
+  p_component : int array; (* classification -> component representative *)
+  p_comp_safe : bool array; (* by representative: all members safe *)
+  p_window : Window.t; (* per-shard decayed remote-call load *)
+  mutable p_rung : int;
+  mutable p_shard_of : int array; (* classification -> shard (splits update it) *)
+  mutable p_active : int array; (* shard -> host currently serving it *)
+  mutable p_replicated : bool array; (* shard -> may promote to a replica *)
+  mutable p_since_check : int;
+  mutable p_opens : int;
+  mutable p_closes : int;
+  mutable p_failovers : int;
+  mutable p_failbacks : int;
+  mutable p_migrations : int;
+  mutable p_stranded : int; (* calls that waited on an open breaker *)
+  mutable p_rescued : int; (* failed calls completed locally after failover *)
+  mutable p_promotions : int;
+  mutable p_splits : int;
+  mutable p_resizes : int;
+  mutable p_inter_host : int;
 }
 
-(* Mutable fleet state: per-host breakers and fault models, the dynamic
-   shard table (splits grow it), per-shard active hosts, counters. *)
-type fleet = {
-  f_config : fleet_config;
-  f_ladder : Fallback.pool_ladder;
-  f_health : Health.t array; (* one breaker per pool host link *)
-  f_faults : Fault.t option array; (* one fault model per host link *)
-  f_obs : fleet_instruments option;
-  f_safe : bool array; (* per-classification migration safety *)
-  f_component : int array; (* classification -> component representative *)
-  f_comp_safe : bool array; (* by representative: all members safe *)
-  f_window : Window.t; (* per-shard decayed remote-call load *)
-  mutable f_rung : int;
-  mutable f_shard_of : int array; (* classification -> shard (splits update it) *)
-  mutable f_active : int array; (* shard -> host currently serving it *)
-  mutable f_replicated : bool array; (* shard -> may promote to a replica *)
-  mutable f_since_check : int;
-  mutable f_opens : int;
-  mutable f_closes : int;
-  mutable f_failovers : int;
-  mutable f_failbacks : int;
-  mutable f_migrations : int;
-  mutable f_stranded : int;
-  mutable f_rescued : int;
-  mutable f_promotions : int;
-  mutable f_splits : int;
-  mutable f_resizes : int;
-  mutable f_inter_host : int;
+type distributed = {
+  m_factory : Factory.t;
+  m_network : Network.t;
+  m_jitter : float;
+  m_rng : Prng.t; (* jitter noise: stream of dc_seed itself *)
+  m_faults : Fault.t option;
+  m_retry : Fault.retry_policy;
+  m_retry_rng : Prng.t; (* backoff jitter: its own stream *)
+  m_watch : watch option;
+  m_pool : pool option; (* [None]: the retry-only path *)
 }
 
-type mode =
-  | M_profiling
-  | M_distributed of {
-      m_factory : Factory.t;
-      m_network : Network.t;
-      m_jitter : float;
-      m_rng : Prng.t;          (* jitter noise: stream of dc_seed itself *)
-      m_faults : Fault.t option;
-      m_retry : Fault.retry_policy;
-      m_retry_rng : Prng.t;    (* backoff jitter: its own stream *)
-      m_resil : resil option;
-      m_watch : watch option;
-      m_fleet : fleet option;
-    }
+type mode = M_profiling | M_distributed of distributed
 
 type t = {
   ctx : Runtime.ctx;
@@ -387,7 +371,6 @@ type distributed_config = {
   dc_seed : int64;
   dc_faults : Fault.spec option;
   dc_retry : Fault.retry_policy;
-  dc_resilience : resilience_config option;
   dc_watch : watch_config option;
   dc_fleet : fleet_config option;
 }
@@ -420,21 +403,16 @@ let machine_of_instance t inst =
   | M_profiling -> Constraints.Client
   | M_distributed { m_factory; _ } -> Factory.machine_of m_factory inst
 
-(* Zero-duration marker span for a breaker transition or rung switch. *)
-let resil_span t ~name ~at_us args =
+(* Zero-duration marker span for a ladder or watch-loop decision. *)
+let marker_span t ~cat ~name ~at_us args =
   match t.obs_tracer with
   | None -> ()
   | Some tr ->
-      let id = Trace.open_span tr ~name ~cat:"resilience" ~at_us in
+      let id = Trace.open_span tr ~name ~cat ~at_us in
       Trace.close_span tr ~args id ~at_us
 
-(* Zero-duration marker span for a watch-loop decision. *)
-let watch_span t ~name ~at_us args =
-  match t.obs_tracer with
-  | None -> ()
-  | Some tr ->
-      let id = Trace.open_span tr ~name ~cat:"watch" ~at_us in
-      Trace.close_span tr ~args id ~at_us
+let ladder_span t = marker_span t ~cat:"resilience"
+let watch_span t = marker_span t ~cat:"watch"
 
 (* Atomically install [dist] as the factory policy and migrate every
    live instance the safety predicate allows to its new home; the rest
@@ -478,173 +456,89 @@ let log_migrations t ~at_int moved =
            }))
     moved
 
-(* Switch the placement map to another rung of the fallback ladder and
-   migrate the instances the static remotability facts mark safe; the
-   rest stay where they are (their calls may strand on the breaker). *)
-let switch_rung t m_factory r ~to_rung ~at_us =
-  let from_rung = r.r_rung in
-  let rung = Fallback.rung r.r_ladder to_rung in
-  let dist = rung.Fallback.rg_distribution in
-  let migrated, left, moved =
-    migrate_instances t m_factory ~safe:(Fallback.migration_safe r.r_ladder) ~dist
-  in
-  r.r_rung <- to_rung;
-  r.r_migrations <- r.r_migrations + migrated;
-  (match r.r_obs with
-  | None -> ()
-  | Some ri ->
-      Metrics.inc_int ri.ri_migrations migrated;
-      Metrics.set ri.ri_rung (float_of_int to_rung));
-  let at_int = int_of_float at_us in
-  if to_rung > from_rung then begin
-    r.r_failovers <- r.r_failovers + 1;
-    (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_failovers);
-    t.logger.Logger.log
-      (Event.Failover
-         {
-           at_us = at_int;
-           rung = rung.Fallback.rg_name;
-           from_rung;
-           to_rung;
-           migrated;
-           stranded = left;
-         });
-    resil_span t ~name:"failover" ~at_us
-      [
-        ("from_rung", Jsonu.Int from_rung);
-        ("to_rung", Jsonu.Int to_rung);
-        ("migrated", Jsonu.Int migrated);
-        ("stranded", Jsonu.Int left);
-      ]
-  end
-  else begin
-    r.r_failbacks <- r.r_failbacks + 1;
-    (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_failbacks);
-    t.logger.Logger.log
-      (Event.Failback
-         {
-           at_us = at_int;
-           rung = rung.Fallback.rg_name;
-           from_rung;
-           to_rung;
-           migrated;
-         });
-    resil_span t ~name:"failback" ~at_us
-      [
-        ("from_rung", Jsonu.Int from_rung);
-        ("to_rung", Jsonu.Int to_rung);
-        ("migrated", Jsonu.Int migrated);
-      ]
-  end;
-  log_migrations t ~at_int moved
+(* --- the ladder: pool execution, one host or k -------------------- *)
 
-(* React to a breaker transition: count it, log it, and move along the
-   ladder — down a rung when the breaker opens, back to the primary
-   when a probe closes it. *)
-let resil_on_transition t m_factory r (tr : Health.transition) =
-  let at_us = tr.Health.tr_at_us in
-  let at_int = int_of_float at_us in
-  (match r.r_obs with
-  | None -> ()
-  | Some ri -> Metrics.set ri.ri_ewma (Health.ewma r.r_health));
-  match tr.Health.tr_to with
-  | Health.Half_open ->
-      resil_span t ~name:"breaker.half_open" ~at_us
-        [ ("cooloff_us", Jsonu.Float (Health.cooloff_us r.r_health)) ]
-  | Health.Open ->
-      r.r_breaker_opens <- r.r_breaker_opens + 1;
-      (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_opens);
-      t.logger.Logger.log
-        (Event.Breaker_opened
-           {
-             at_us = at_int;
-             failures = Health.consecutive_failures r.r_health;
-             drops = t.n_drops;
-             spikes = t.n_spikes;
-           });
-      resil_span t ~name:"breaker.open" ~at_us
-        [ ("failures", Jsonu.Int (Health.consecutive_failures r.r_health)) ];
-      let bottom = Fallback.rung_count r.r_ladder - 1 in
-      let next = min (r.r_rung + 1) bottom in
-      if next <> r.r_rung then switch_rung t m_factory r ~to_rung:next ~at_us
-  | Health.Closed ->
-      r.r_breaker_closes <- r.r_breaker_closes + 1;
-      (match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_closes);
-      t.logger.Logger.log
-        (Event.Breaker_closed
-           { at_us = at_int; probes = (Health.policy r.r_health).Health.hp_probe_successes });
-      resil_span t ~name:"breaker.close" ~at_us [];
-      if r.r_rung <> 0 then switch_rung t m_factory r ~to_rung:0 ~at_us
+let pool_shape p = (Fallback.pool_rung_at p.p_ladder p.p_rung).Fallback.pr_shape
 
-(* --- fleet: k-way pool execution ----------------------------------- *)
-
-let fleet_shape f = (Fallback.pool_rung_at f.f_ladder f.f_rung).Fallback.pr_shape
+(* Span args name the host only when the widest rung has more than
+   one: a one-host pool is the two-host resilience ladder, whose spans
+   carry no host dimension. *)
+let host_args p host args =
+  if Array.length p.p_health > 1 then ("host", Jsonu.Int host) :: args else args
 
 (* Shard serving a classification: the dynamic table where it speaks,
    shard 0 for anything outside it (main, run-time classifications,
    instances stranded server-side by an unsafe migration). *)
-let fleet_shard f c =
+let pool_shard p c =
   let s =
-    if c >= 0 && c < Array.length f.f_shard_of && f.f_shard_of.(c) >= 0 then f.f_shard_of.(c)
+    if c >= 0 && c < Array.length p.p_shard_of && p.p_shard_of.(c) >= 0 then p.p_shard_of.(c)
     else 0
   in
-  if s < Array.length f.f_active then s else 0
+  if s < Array.length p.p_active then s else 0
 
-let fleet_host f c = f.f_active.(fleet_shard f c)
+let pool_host p c = p.p_active.(pool_shard p c)
 
 (* The pool host link a remote call rides: the server-side endpoint's
-   active host; for server-to-server traffic, the callee's. *)
-let fleet_link f ~src ~dst ~caller_cls ~callee_cls =
+   active host; for server-to-server traffic, the callee's. With one
+   host this is [Some 0] exactly when [src <> dst]. *)
+let pool_link p ~src ~dst ~caller_cls ~callee_cls =
   match (src, dst) with
   | Constraints.Client, Constraints.Client -> None
   | _, Constraints.Server ->
-      let h = fleet_host f callee_cls in
-      if src = Constraints.Server && fleet_host f caller_cls = h then None else Some h
-  | Constraints.Server, Constraints.Client -> Some (fleet_host f caller_cls)
+      let h = pool_host p callee_cls in
+      if src = Constraints.Server && pool_host p caller_cls = h then None else Some h
+  | Constraints.Server, Constraints.Client -> Some (pool_host p caller_cls)
 
 (* Re-home every shard for the current shape: its primary host, unless
    that breaker is open and a standing replica is healthy — then the
    first healthy replica in ring order. Deterministic: shards ascend,
    replica rings are fixed by the shape. *)
-let fleet_reset_actives f ~now =
-  let shape = fleet_shape f in
+let pool_reset_actives p ~now =
+  let shape = pool_shape p in
   let k = shape.Pool.sh_hosts in
   Array.iteri
     (fun s _ ->
       let primary = s mod k in
       let serving =
-        if Health.allows f.f_health.(primary) ~now_us:now then primary
-        else if not f.f_replicated.(s) then primary
+        if Health.allows p.p_health.(primary) ~now_us:now then primary
+        else if not p.p_replicated.(s) then primary
         else
           let rec pick i =
             if i >= shape.Pool.sh_replicas then primary
             else
               let h = (primary + i) mod k in
-              if Health.allows f.f_health.(h) ~now_us:now then h else pick (i + 1)
+              if Health.allows p.p_health.(h) ~now_us:now then h else pick (i + 1)
           in
           pick 1
       in
-      f.f_active.(s) <- serving)
-    f.f_active
+      p.p_active.(s) <- serving)
+    p.p_active
 
-(* Switch the pool along the ladder: install the rung's distribution,
-   migrate the statically-safe instances, re-home every shard onto the
-   new host count. Event order matches the two-host path — aggregate
-   Failover/Failback first, then Pool_resized when the host count
-   changed, then the per-instance migrations. *)
-let fleet_switch_rung t m_factory f ~to_rung ~at_us =
-  let from_rung = f.f_rung in
-  let pr = Fallback.pool_rung_at f.f_ladder to_rung in
+(* Move the pool along the ladder: install the rung's distribution,
+   migrate the statically-safe instances (the rest stay where they are;
+   their calls may strand on the breaker), re-home every shard onto the
+   new host count. Events: the aggregate Failover/Failback first, then
+   Pool_resized when the host count changed, then the per-instance
+   migrations. *)
+let pool_move t m_factory p ~to_rung ~at_us =
+  let from_rung = p.p_rung in
+  let pr = Fallback.pool_rung_at p.p_ladder to_rung in
   let dist = pr.Fallback.pr_distribution in
-  let from_hosts = (fleet_shape f).Pool.sh_hosts in
+  let from_hosts = (pool_shape p).Pool.sh_hosts in
   let to_hosts = pr.Fallback.pr_shape.Pool.sh_hosts in
-  let safe c = c >= 0 && c < Array.length f.f_safe && f.f_safe.(c) in
+  let safe c = c >= 0 && c < Array.length p.p_safe && p.p_safe.(c) in
   let migrated, left, moved = migrate_instances t m_factory ~safe ~dist in
-  f.f_rung <- to_rung;
-  f.f_migrations <- f.f_migrations + migrated;
+  p.p_rung <- to_rung;
+  p.p_migrations <- p.p_migrations + migrated;
+  (match p.p_lobs with
+  | None -> ()
+  | Some li ->
+      Metrics.inc_int li.li_migrations migrated;
+      Metrics.set li.li_rung (float_of_int to_rung));
   let at_int = int_of_float at_us in
   if to_rung > from_rung then begin
-    f.f_failovers <- f.f_failovers + 1;
+    p.p_failovers <- p.p_failovers + 1;
+    (match p.p_lobs with None -> () | Some li -> Metrics.inc li.li_failovers);
     t.logger.Logger.log
       (Event.Failover
          {
@@ -655,7 +549,7 @@ let fleet_switch_rung t m_factory f ~to_rung ~at_us =
            migrated;
            stranded = left;
          });
-    resil_span t ~name:"failover" ~at_us
+    ladder_span t ~name:"failover" ~at_us
       [
         ("from_rung", Jsonu.Int from_rung);
         ("to_rung", Jsonu.Int to_rung);
@@ -664,11 +558,12 @@ let fleet_switch_rung t m_factory f ~to_rung ~at_us =
       ]
   end
   else begin
-    f.f_failbacks <- f.f_failbacks + 1;
+    p.p_failbacks <- p.p_failbacks + 1;
+    (match p.p_lobs with None -> () | Some li -> Metrics.inc li.li_failbacks);
     t.logger.Logger.log
       (Event.Failback
          { at_us = at_int; rung = pr.Fallback.pr_name; from_rung; to_rung; migrated });
-    resil_span t ~name:"failback" ~at_us
+    ladder_span t ~name:"failback" ~at_us
       [
         ("from_rung", Jsonu.Int from_rung);
         ("to_rung", Jsonu.Int to_rung);
@@ -676,8 +571,8 @@ let fleet_switch_rung t m_factory f ~to_rung ~at_us =
       ]
   end;
   if from_hosts <> to_hosts then begin
-    f.f_resizes <- f.f_resizes + 1;
-    (match f.f_obs with
+    p.p_resizes <- p.p_resizes + 1;
+    (match p.p_obs with
     | None -> ()
     | Some fi ->
         Metrics.inc fi.fi_resizes;
@@ -688,72 +583,70 @@ let fleet_switch_rung t m_factory f ~to_rung ~at_us =
            at_us = at_int;
            from_hosts;
            to_hosts;
-           shards = Array.length f.f_active;
+           shards = Array.length p.p_active;
            migrated;
          });
-    resil_span t ~name:"pool.resize" ~at_us
+    ladder_span t ~name:"pool.resize" ~at_us
       [ ("from_hosts", Jsonu.Int from_hosts); ("to_hosts", Jsonu.Int to_hosts) ]
   end;
-  fleet_reset_actives f ~now:at_us;
+  pool_reset_actives p ~now:at_us;
   log_migrations t ~at_int moved
 
 (* React to a per-host breaker transition. An open promotes every shard
    the host was serving to a healthy replica; a shard with none (or one
-   that may not replicate) forces the whole pool down a rung. A close
-   climbs back to the top rung and re-homes the shards. *)
-let fleet_on_transition t m_factory f ~host (tr : Health.transition) =
+   that may not replicate), or a pool of one, moves the whole pool down
+   a rung. A close climbs back to the top rung and re-homes the
+   shards. *)
+let pool_on_transition t m_factory p ~host (tr : Health.transition) =
   let at_us = tr.Health.tr_at_us in
   let at_int = int_of_float at_us in
+  let hb = p.p_health.(host) in
+  (match p.p_lobs with None -> () | Some li -> Metrics.set li.li_ewma (Health.ewma hb));
   match tr.Health.tr_to with
   | Health.Half_open ->
-      resil_span t ~name:"breaker.half_open" ~at_us
-        [
-          ("host", Jsonu.Int host);
-          ("cooloff_us", Jsonu.Float (Health.cooloff_us f.f_health.(host)));
-        ]
+      ladder_span t ~name:"breaker.half_open" ~at_us
+        (host_args p host [ ("cooloff_us", Jsonu.Float (Health.cooloff_us hb)) ])
   | Health.Open ->
-      f.f_opens <- f.f_opens + 1;
+      p.p_opens <- p.p_opens + 1;
+      (match p.p_lobs with None -> () | Some li -> Metrics.inc li.li_opens);
       t.logger.Logger.log
         (Event.Breaker_opened
            {
              at_us = at_int;
-             failures = Health.consecutive_failures f.f_health.(host);
+             failures = Health.consecutive_failures hb;
              drops = t.n_drops;
              spikes = t.n_spikes;
            });
-      resil_span t ~name:"breaker.open" ~at_us
-        [
-          ("host", Jsonu.Int host);
-          ("failures", Jsonu.Int (Health.consecutive_failures f.f_health.(host)));
-        ];
-      let shape = fleet_shape f in
+      ladder_span t ~name:"breaker.open" ~at_us
+        (host_args p host [ ("failures", Jsonu.Int (Health.consecutive_failures hb)) ]);
+      let shape = pool_shape p in
       let k = shape.Pool.sh_hosts in
       let stuck = ref false in
       if k > 1 then
         Array.iteri
           (fun s serving ->
             if serving = host then
-              if not f.f_replicated.(s) then stuck := true
+              if not p.p_replicated.(s) then stuck := true
               else begin
                 let primary = s mod k in
                 let rec pick i =
                   if i >= shape.Pool.sh_replicas then None
                   else
                     let h = (primary + i) mod k in
-                    if h <> host && Health.allows f.f_health.(h) ~now_us:at_us then Some h
+                    if h <> host && Health.allows p.p_health.(h) ~now_us:at_us then Some h
                     else pick (i + 1)
                 in
                 match pick 0 with
                 | Some h ->
-                    f.f_active.(s) <- h;
-                    f.f_promotions <- f.f_promotions + 1;
-                    (match f.f_obs with
+                    p.p_active.(s) <- h;
+                    p.p_promotions <- p.p_promotions + 1;
+                    (match p.p_obs with
                     | None -> ()
                     | Some fi -> Metrics.inc fi.fi_promotions);
                     t.logger.Logger.log
                       (Event.Replica_promoted
                          { at_us = at_int; shard = s; from_host = host; to_host = h });
-                    resil_span t ~name:"replica.promote" ~at_us
+                    ladder_span t ~name:"replica.promote" ~at_us
                       [
                         ("shard", Jsonu.Int s);
                         ("from_host", Jsonu.Int host);
@@ -761,118 +654,135 @@ let fleet_on_transition t m_factory f ~host (tr : Health.transition) =
                       ]
                 | None -> stuck := true
               end)
-          f.f_active
+          p.p_active
       else stuck := true;
       if !stuck then begin
-        let bottom = Fallback.pool_rung_count f.f_ladder - 1 in
-        let next = min (f.f_rung + 1) bottom in
-        if next <> f.f_rung then fleet_switch_rung t m_factory f ~to_rung:next ~at_us
+        let bottom = Fallback.pool_rung_count p.p_ladder - 1 in
+        let next = min (p.p_rung + 1) bottom in
+        if next <> p.p_rung then pool_move t m_factory p ~to_rung:next ~at_us
       end
   | Health.Closed ->
-      f.f_closes <- f.f_closes + 1;
+      p.p_closes <- p.p_closes + 1;
+      (match p.p_lobs with None -> () | Some li -> Metrics.inc li.li_closes);
       t.logger.Logger.log
         (Event.Breaker_closed
-           {
-             at_us = at_int;
-             probes = (Health.policy f.f_health.(host)).Health.hp_probe_successes;
-           });
-      resil_span t ~name:"breaker.close" ~at_us [ ("host", Jsonu.Int host) ];
-      if f.f_rung <> 0 then fleet_switch_rung t m_factory f ~to_rung:0 ~at_us
-      else fleet_reset_actives f ~now:at_us
+           { at_us = at_int; probes = (Health.policy hb).Health.hp_probe_successes });
+      ladder_span t ~name:"breaker.close" ~at_us (host_args p host []);
+      if p.p_rung <> 0 then pool_move t m_factory p ~to_rung:0 ~at_us
+      else pool_reset_actives p ~now:at_us
+
+(* Ask host [host]'s breaker whether it admits traffic at [now],
+   reacting to the transition a due cooloff makes. *)
+let pool_admits t m_factory p ~host ~now =
+  let hb = p.p_health.(host) in
+  (match Health.observe hb ~now_us:now with
+  | Some tr -> pool_on_transition t m_factory p ~host tr
+  | None -> ());
+  Health.allows hb ~now_us:now
+
+(* Feed one round trip's outcome to host [host]'s breaker. *)
+let pool_record t m_factory p ~host ~ok =
+  let hb = p.p_health.(host) in
+  let now = sim_now t in
+  let transition =
+    if ok then Health.record_success hb ~now_us:now else Health.record_failure hb ~now_us:now
+  in
+  (match transition with
+  | Some tr -> pool_on_transition t m_factory p ~host tr
+  | None -> ());
+  match p.p_lobs with None -> () | Some li -> Metrics.set li.li_ewma (Health.ewma hb)
 
 (* Deterministic hot-shard check: when one shard carries more than
    [fc_split_share] of the window's decayed remote-call mass and holds
    at least two components, carve off the upper half of its movable
    (migration-safe) components into a fresh shard on the least-loaded
-   host. Pure arithmetic over the window snapshot — no randomness. *)
-let fleet_maybe_split t f ~now =
-  let shape = fleet_shape f in
-  let k = shape.Pool.sh_hosts in
-  if k > 1 then begin
-    let shard_count = Array.length f.f_active in
-    let counts = Window.counts_at f.f_window ~now_us:now in
-    let extras = Window.extras_at f.f_window ~now_us:now in
-    let load = Array.make shard_count 0. in
-    Array.iteri (fun s c -> if s < shard_count then load.(s) <- c) counts;
-    List.iter
-      (fun ((a, b), c) -> if a = b && a >= 0 && a < shard_count then load.(a) <- load.(a) +. c)
-      extras;
-    let total = Array.fold_left ( +. ) 0. load in
-    if total > 0. then begin
-      let top = ref 0 in
-      Array.iteri (fun s l -> if l > load.(!top) then top := s) load;
-      if load.(!top) /. total > f.f_config.fc_split_share then begin
-        let s_top = !top in
-        (* Components currently in the hot shard, ascending representative. *)
-        let reps = Hashtbl.create 8 in
+   host. Pure arithmetic over the window snapshot — no randomness.
+   Only ever called with more than one host. *)
+let pool_maybe_split t p ~now =
+  let k = (pool_shape p).Pool.sh_hosts in
+  let shard_count = Array.length p.p_active in
+  let counts = Window.counts_at p.p_window ~now_us:now in
+  let extras = Window.extras_at p.p_window ~now_us:now in
+  let load = Array.make shard_count 0. in
+  Array.iteri (fun s c -> if s < shard_count then load.(s) <- c) counts;
+  List.iter
+    (fun ((a, b), c) -> if a = b && a >= 0 && a < shard_count then load.(a) <- load.(a) +. c)
+    extras;
+  let total = Array.fold_left ( +. ) 0. load in
+  if total > 0. then begin
+    let top = ref 0 in
+    Array.iteri (fun s l -> if l > load.(!top) then top := s) load;
+    if load.(!top) /. total > p.p_config.fc_split_share then begin
+      let s_top = !top in
+      (* Components currently in the hot shard, ascending representative. *)
+      let reps = Hashtbl.create 8 in
+      Array.iteri
+        (fun c sh -> if sh = s_top then Hashtbl.replace reps p.p_component.(c) ())
+        p.p_shard_of;
+      let all = List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) reps []) in
+      let movable = List.filter (fun r -> p.p_comp_safe.(r)) all in
+      let half = List.length movable / 2 in
+      let keep_at_least_one = List.length all - half >= 1 in
+      if List.length all >= 2 && half >= 1 && keep_at_least_one then begin
+        let moving =
+          List.filteri (fun i _ -> i >= List.length movable - half) movable
+        in
+        let new_shard = shard_count in
+        (* Least-loaded host by shard count, ties to the lowest id. *)
+        let per_host = Array.make k 0 in
+        Array.iter (fun h -> if h < k then per_host.(h) <- per_host.(h) + 1) p.p_active;
+        let to_host = ref 0 in
+        Array.iteri (fun h n -> if n < per_host.(!to_host) then to_host := h) per_host;
+        let to_host = !to_host in
+        let moved = ref 0 in
         Array.iteri
-          (fun c sh -> if sh = s_top then Hashtbl.replace reps f.f_component.(c) ())
-          f.f_shard_of;
-        let all = List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) reps []) in
-        let movable = List.filter (fun r -> f.f_comp_safe.(r)) all in
-        let half = List.length movable / 2 in
-        let keep_at_least_one = List.length all - half >= 1 in
-        if List.length all >= 2 && half >= 1 && keep_at_least_one then begin
-          let moving =
-            List.filteri (fun i _ -> i >= List.length movable - half) movable
-          in
-          let new_shard = shard_count in
-          (* Least-loaded host by shard count, ties to the lowest id. *)
-          let per_host = Array.make k 0 in
-          Array.iter (fun h -> if h < k then per_host.(h) <- per_host.(h) + 1) f.f_active;
-          let to_host = ref 0 in
-          Array.iteri (fun h n -> if n < per_host.(!to_host) then to_host := h) per_host;
-          let to_host = !to_host in
-          let moved = ref 0 in
-          Array.iteri
-            (fun c sh ->
-              if sh = s_top && List.mem f.f_component.(c) moving then begin
-                f.f_shard_of.(c) <- new_shard;
-                incr moved
-              end)
-            f.f_shard_of;
-          f.f_active <- Array.append f.f_active [| to_host |];
-          f.f_replicated <- Array.append f.f_replicated [| true |];
-          f.f_active.(new_shard) <- to_host;
-          f.f_splits <- f.f_splits + 1;
-          (match f.f_obs with
-          | None -> ()
-          | Some fi ->
-              Metrics.inc fi.fi_splits;
-              Metrics.set fi.fi_shards (float_of_int (Array.length f.f_active)));
-          t.logger.Logger.log
-            (Event.Shard_split
-               {
-                 at_us = int_of_float now;
-                 shard = s_top;
-                 new_shard;
-                 moved = !moved;
-                 to_host;
-               });
-          resil_span t ~name:"shard.split" ~at_us:now
-            [
-              ("shard", Jsonu.Int s_top);
-              ("new_shard", Jsonu.Int new_shard);
-              ("moved", Jsonu.Int !moved);
-              ("to_host", Jsonu.Int to_host);
-            ]
-        end
+          (fun c sh ->
+            if sh = s_top && List.mem p.p_component.(c) moving then begin
+              p.p_shard_of.(c) <- new_shard;
+              incr moved
+            end)
+          p.p_shard_of;
+        p.p_active <- Array.append p.p_active [| to_host |];
+        p.p_replicated <- Array.append p.p_replicated [| true |];
+        p.p_active.(new_shard) <- to_host;
+        p.p_splits <- p.p_splits + 1;
+        (match p.p_obs with
+        | None -> ()
+        | Some fi ->
+            Metrics.inc fi.fi_splits;
+            Metrics.set fi.fi_shards (float_of_int (Array.length p.p_active)));
+        t.logger.Logger.log
+          (Event.Shard_split
+             {
+               at_us = int_of_float now;
+               shard = s_top;
+               new_shard;
+               moved = !moved;
+               to_host;
+             });
+        ladder_span t ~name:"shard.split" ~at_us:now
+          [
+            ("shard", Jsonu.Int s_top);
+            ("new_shard", Jsonu.Int new_shard);
+            ("moved", Jsonu.Int !moved);
+            ("to_host", Jsonu.Int to_host);
+          ]
       end
     end
   end
 
 (* Feed one served remote call into the per-shard load window; check
    for a hot shard every [fc_check_every] observations. Skipped
-   entirely at pool size 1 — the identity gate's zero-cost half. *)
-let fleet_observe t f ~callee_cls ~bytes =
-  if (fleet_shape f).Pool.sh_hosts > 1 then begin
+   entirely at pool size 1, so a one-host ladder never pays for it. *)
+let pool_observe t p ~callee_cls ~bytes =
+  if (pool_shape p).Pool.sh_hosts > 1 then begin
     let now = sim_now t in
-    let s = fleet_shard f callee_cls in
-    Window.observe f.f_window ~at_us:now ~caller:s ~callee:s ~bytes;
-    f.f_since_check <- f.f_since_check + 1;
-    if f.f_since_check >= f.f_config.fc_check_every then begin
-      f.f_since_check <- 0;
-      fleet_maybe_split t f ~now
+    let s = pool_shard p callee_cls in
+    Window.observe p.p_window ~at_us:now ~caller:s ~callee:s ~bytes;
+    p.p_since_check <- p.p_since_check + 1;
+    if p.p_since_check >= p.p_config.fc_check_every then begin
+      p.p_since_check <- 0;
+      pool_maybe_split t p ~now
     end
   end
 
@@ -1053,6 +963,40 @@ let watch_observe t m_factory w ~kind ~caller_cls ~callee_cls ~measure =
     watch_check t m_factory w ~now
   end
 
+(* One simulated round trip over [model] with its full fault
+   accounting, shared by forwarded calls and forwarded creates. It is
+   the same whether or not a ladder watches the outcome, so fault-free
+   runs are bit-identical either way. Virtual send time is {!sim_now},
+   the clock fault windows are expressed against. *)
+let round_trip t d ~model ~iface ~meth ~request_bytes ~reply_bytes =
+  let jittered base =
+    if d.m_jitter = 0. then base
+    else Float.max 0. (Prng.gaussian d.m_rng ~mu:base ~sigma:(d.m_jitter *. base))
+  in
+  let oc =
+    Fault.call ?model ~retry:d.m_retry ~rng:d.m_retry_rng ~now_us:(sim_now t) ~request_bytes
+      ~reply_bytes
+      ~request_us:(fun () -> jittered (Network.message_us d.m_network ~bytes:request_bytes))
+      ~reply_us:(fun () -> jittered (Network.message_us d.m_network ~bytes:reply_bytes))
+      ()
+  in
+  t.comm <- t.comm +. oc.Fault.oc_time_us;
+  t.n_retries <- t.n_retries + oc.Fault.oc_retries;
+  t.n_drops <- t.n_drops + oc.Fault.oc_drops;
+  t.n_spikes <- t.n_spikes + oc.Fault.oc_spikes;
+  t.fault_us <- t.fault_us +. oc.Fault.oc_fault_us;
+  (match t.obs with
+  | None -> ()
+  | Some i ->
+      Metrics.inc ~by:oc.Fault.oc_time_us i.i_comm_us;
+      Metrics.inc_int i.i_retries oc.Fault.oc_retries;
+      Metrics.inc_int i.i_drops oc.Fault.oc_drops;
+      Metrics.inc_int i.i_spikes oc.Fault.oc_spikes;
+      Metrics.inc ~by:oc.Fault.oc_fault_us i.i_fault_us);
+  if oc.Fault.oc_retries > 0 && oc.Fault.oc_ok then
+    t.logger.Logger.log (Event.Call_retried { iface; meth; retries = oc.Fault.oc_retries });
+  oc
+
 (* Mint (or reuse) the Coign-instrumented wrapper for a raw handle. *)
 let rec wrap t raw_h =
   if Runtime.handle_is_wrapper t.ctx raw_h then raw_h
@@ -1152,20 +1096,9 @@ and intercept_run t raw_h ~meth args =
              request_bytes = sizes.Informer.request_bytes;
              reply_bytes = sizes.Informer.reply_bytes;
            })
-  | M_distributed
-      {
-        m_factory;
-        m_network;
-        m_jitter;
-        m_rng;
-        m_faults;
-        m_retry;
-        m_retry_rng;
-        m_resil;
-        m_watch;
-        m_fleet;
-      } ->
-      (match m_watch with
+  | M_distributed d ->
+      let m_factory = d.m_factory in
+      (match d.m_watch with
       | None -> ()
       | Some w ->
           watch_observe t m_factory w ~kind:Tap.Call
@@ -1178,14 +1111,13 @@ and intercept_run t raw_h ~meth args =
       let caller_classification = classification_of t caller in
       (* A call crosses the wire when the endpoints live on different
          machines — or, under a pool, on different pool hosts. With no
-         fleet (or a pool of one) the condition is exactly [src <> dst],
-         so the pre-fleet paths run the same instructions they always
-         did. *)
+         ladder the condition is exactly [src <> dst], so the
+         retry-only path runs the same instructions it always did. *)
       let crosses =
-        match m_fleet with
+        match d.m_pool with
         | None -> src <> dst
-        | Some f ->
-            fleet_link f ~src ~dst ~caller_cls:caller_classification
+        | Some p ->
+            pool_link p ~src ~dst ~caller_cls:caller_classification
               ~callee_cls:callee_classification
             <> None
       in
@@ -1196,52 +1128,16 @@ and intercept_run t raw_h ~meth args =
             (Hresult.E_cannot_marshal
                (Printf.sprintf "cross-machine call on non-remotable %s.%s"
                   (Itype.name itype) msig.Idl_type.mname));
-        let jittered base =
-          if m_jitter = 0. then base
-          else Float.max 0. (Prng.gaussian m_rng ~mu:base ~sigma:(m_jitter *. base))
-        in
-        (* One simulated round trip with its full fault accounting —
-           identical whether or not a resilience policy is watching the
-           outcome, so fault-free runs are bit-identical either way.
-           Virtual send time: communication so far plus the compute the
-           application has charged — the clock fault windows are
-           expressed against. [model] defaults to the global link fault
-           model; the fleet passes each call's pool-host model. *)
-        let simulate ?(model = m_faults) () =
+        let attempt model =
           let oc =
-            Fault.call ?model ~retry:m_retry ~rng:m_retry_rng
-              ~now_us:(t.comm +. Runtime.compute_us t.ctx)
-              ~request_bytes:sizes.Informer.request_bytes
-              ~reply_bytes:sizes.Informer.reply_bytes
-              ~request_us:(fun () ->
-                jittered (Network.message_us m_network ~bytes:sizes.Informer.request_bytes))
-              ~reply_us:(fun () ->
-                jittered (Network.message_us m_network ~bytes:sizes.Informer.reply_bytes))
-              ()
+            round_trip t d ~model ~iface:(Itype.name itype) ~meth:msig.Idl_type.mname
+              ~request_bytes:sizes.Informer.request_bytes ~reply_bytes:sizes.Informer.reply_bytes
           in
-          t.comm <- t.comm +. oc.Fault.oc_time_us;
-          t.n_retries <- t.n_retries + oc.Fault.oc_retries;
-          t.n_drops <- t.n_drops + oc.Fault.oc_drops;
-          t.n_spikes <- t.n_spikes + oc.Fault.oc_spikes;
-          t.fault_us <- t.fault_us +. oc.Fault.oc_fault_us;
           (match t.obs with
           | None -> ()
           | Some i ->
-              Metrics.inc ~by:oc.Fault.oc_time_us i.i_comm_us;
-              Metrics.inc_int i.i_retries oc.Fault.oc_retries;
-              Metrics.inc_int i.i_drops oc.Fault.oc_drops;
-              Metrics.inc_int i.i_spikes oc.Fault.oc_spikes;
-              Metrics.inc ~by:oc.Fault.oc_fault_us i.i_fault_us;
               Metrics.observe i.i_request_bytes sizes.Informer.request_bytes;
               Metrics.observe i.i_reply_bytes sizes.Informer.reply_bytes);
-          if oc.Fault.oc_retries > 0 && oc.Fault.oc_ok then
-            t.logger.Logger.log
-              (Event.Call_retried
-                 {
-                   iface = Itype.name itype;
-                   meth = msig.Idl_type.mname;
-                   retries = oc.Fault.oc_retries;
-                 });
           oc
         in
         let fail_unreachable dst =
@@ -1252,7 +1148,7 @@ and intercept_run t raw_h ~meth args =
                (Printf.sprintf "%s.%s: no reply from %s after %d attempts"
                   (Itype.name itype) msig.Idl_type.mname
                   (Constraints.location_name dst)
-                  (max 1 m_retry.Fault.rp_max_attempts)))
+                  (max 1 d.m_retry.Fault.rp_max_attempts)))
         in
         let count_remote () =
           t.n_remote_calls <- t.n_remote_calls + 1;
@@ -1265,41 +1161,45 @@ and intercept_run t raw_h ~meth args =
               Metrics.inc_int i.i_remote_bytes
                 (sizes.Informer.request_bytes + sizes.Informer.reply_bytes)
         in
-        match (m_resil, m_fleet) with
-        | None, None ->
-            let oc = simulate () in
+        match d.m_pool with
+        | None ->
+            let oc = attempt d.m_faults in
             if not oc.Fault.oc_ok then fail_unreachable dst;
             count_remote ()
-        | None, Some f ->
-            (* Route the call over the callee's pool-host link, with
-               that host's breaker and fault model. The loop mirrors
-               the two-host resilience path call for call: a breaker
-               transition may promote replicas or move the whole pool
-               along the ladder, after which the link is re-read — the
-               call may then complete locally, on a promoted replica,
-               or on the shrunken pool. *)
+        | Some p ->
+            (* Route the call over its pool-host link, through that
+               host's breaker and fault model. Failures feed the
+               breaker; a transition may promote replicas or move the
+               pool along the ladder, after which the link is re-read
+               — the call may then complete locally (rescued: the
+               underlying [Runtime.call] already ran; the fault model
+               only decides whether the communication made it), on a
+               promoted replica, or on the shrunken pool. Calls facing
+               an open breaker are stranded: they wait out the cooloff
+               and become the half-open probe. *)
             let rounds = ref 0 in
             let stranded_counted = ref false in
             let rec go () =
               let src = Factory.machine_of m_factory caller in
               let dst = Factory.machine_of m_factory callee in
               match
-                fleet_link f ~src ~dst ~caller_cls:caller_classification
+                pool_link p ~src ~dst ~caller_cls:caller_classification
                   ~callee_cls:callee_classification
               with
-              | None -> if !rounds > 0 then f.f_rescued <- f.f_rescued + 1
+              | None ->
+                  if !rounds > 0 then begin
+                    p.p_rescued <- p.p_rescued + 1;
+                    match p.p_lobs with None -> () | Some li -> Metrics.inc li.li_rescued
+                  end
               | Some h ->
-                  let hb = f.f_health.(h) in
                   let now = sim_now t in
-                  (match Health.observe hb ~now_us:now with
-                  | Some tr -> fleet_on_transition t m_factory f ~host:h tr
-                  | None -> ());
-                  if not (Health.allows hb ~now_us:now) then begin
+                  if not (pool_admits t m_factory p ~host:h ~now) then begin
                     if not !stranded_counted then begin
                       stranded_counted := true;
-                      f.f_stranded <- f.f_stranded + 1
+                      p.p_stranded <- p.p_stranded + 1;
+                      match p.p_lobs with None -> () | Some li -> Metrics.inc li.li_stranded
                     end;
-                    let wait = Health.cooloff_expires_at hb -. now in
+                    let wait = Health.cooloff_expires_at p.p_health.(h) -. now in
                     t.comm <- t.comm +. wait;
                     t.fault_us <- t.fault_us +. wait;
                     (match t.obs with
@@ -1307,106 +1207,33 @@ and intercept_run t raw_h ~meth args =
                     | Some i ->
                         Metrics.inc ~by:wait i.i_comm_us;
                         Metrics.inc ~by:wait i.i_fault_us);
+                    (match p.p_lobs with
+                    | None -> ()
+                    | Some li -> Metrics.inc ~by:wait li.li_wait_us);
                     go ()
                   end
-                  else if !rounds >= f.f_config.fc_max_probe_rounds then fail_unreachable dst
+                  else if !rounds >= p.p_config.fc_max_probe_rounds then fail_unreachable dst
                   else begin
-                    let oc = simulate ~model:f.f_faults.(h) () in
-                    let now' = sim_now t in
+                    let oc = attempt p.p_faults.(h) in
                     if oc.Fault.oc_ok then begin
-                      (match Health.record_success hb ~now_us:now' with
-                      | Some tr -> fleet_on_transition t m_factory f ~host:h tr
-                      | None -> ());
+                      pool_record t m_factory p ~host:h ~ok:true;
                       count_remote ();
                       if src = Constraints.Server && dst = Constraints.Server then begin
-                        f.f_inter_host <- f.f_inter_host + 1;
-                        match f.f_obs with
+                        p.p_inter_host <- p.p_inter_host + 1;
+                        match p.p_obs with
                         | None -> ()
                         | Some fi -> Metrics.inc fi.fi_inter_host
                       end;
                       if dst = Constraints.Server then
-                        fleet_observe t f ~callee_cls:callee_classification
+                        pool_observe t p ~callee_cls:callee_classification
                           ~bytes:(sizes.Informer.request_bytes + sizes.Informer.reply_bytes)
                     end
                     else begin
                       incr rounds;
-                      (match Health.record_failure hb ~now_us:now' with
-                      | Some tr -> fleet_on_transition t m_factory f ~host:h tr
-                      | None -> ());
+                      pool_record t m_factory p ~host:h ~ok:false;
                       go ()
                     end
                   end
-            in
-            go ()
-        | Some r, _ ->
-            (* Route the call through the breaker. Failures feed the
-               health tracker; when it opens, the transition handler
-               fails over to the next rung, after which the endpoints
-               may share a machine — the call then completes locally
-               (the underlying [Runtime.call] already ran; the fault
-               model only decides whether the communication made it).
-               Open-breaker calls are stranded: they wait out the
-               cooloff and become the half-open probe. *)
-            let rounds = ref 0 in
-            let stranded_counted = ref false in
-            let rec go () =
-              let src = Factory.machine_of m_factory caller in
-              let dst = Factory.machine_of m_factory callee in
-              if src = dst then begin
-                if !rounds > 0 then begin
-                  r.r_rescued <- r.r_rescued + 1;
-                  match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_rescued
-                end
-              end
-              else begin
-                let now = sim_now t in
-                (match Health.observe r.r_health ~now_us:now with
-                | Some tr -> resil_on_transition t m_factory r tr
-                | None -> ());
-                if not (Health.allows r.r_health ~now_us:now) then begin
-                  if not !stranded_counted then begin
-                    stranded_counted := true;
-                    r.r_stranded <- r.r_stranded + 1;
-                    match r.r_obs with None -> () | Some ri -> Metrics.inc ri.ri_stranded
-                  end;
-                  let wait = Health.cooloff_expires_at r.r_health -. now in
-                  t.comm <- t.comm +. wait;
-                  t.fault_us <- t.fault_us +. wait;
-                  (match t.obs with
-                  | None -> ()
-                  | Some i ->
-                      Metrics.inc ~by:wait i.i_comm_us;
-                      Metrics.inc ~by:wait i.i_fault_us);
-                  (match r.r_obs with
-                  | None -> ()
-                  | Some ri -> Metrics.inc ~by:wait ri.ri_wait_us);
-                  go ()
-                end
-                else if !rounds >= r.r_max_probe_rounds then fail_unreachable dst
-                else begin
-                  let oc = simulate () in
-                  let now' = sim_now t in
-                  if oc.Fault.oc_ok then begin
-                    (match Health.record_success r.r_health ~now_us:now' with
-                    | Some tr -> resil_on_transition t m_factory r tr
-                    | None -> ());
-                    (match r.r_obs with
-                    | None -> ()
-                    | Some ri -> Metrics.set ri.ri_ewma (Health.ewma r.r_health));
-                    count_remote ()
-                  end
-                  else begin
-                    incr rounds;
-                    (match Health.record_failure r.r_health ~now_us:now' with
-                    | Some tr -> resil_on_transition t m_factory r tr
-                    | None -> ());
-                    (match r.r_obs with
-                    | None -> ()
-                    | Some ri -> Metrics.set ri.ri_ewma (Health.ewma r.r_health));
-                    go ()
-                  end
-                end
-              end
             in
             go ()
       end);
@@ -1465,20 +1292,9 @@ and on_create_run t (req : Runtime.create_request) =
   in
   (match t.mode with
   | M_profiling -> ()
-  | M_distributed
-      {
-        m_factory;
-        m_network;
-        m_jitter;
-        m_rng;
-        m_faults;
-        m_retry;
-        m_retry_rng;
-        m_resil;
-        m_watch;
-        m_fleet;
-      } ->
-      (match m_watch with
+  | M_distributed d ->
+      let m_factory = d.m_factory in
+      (match d.m_watch with
       | None -> ()
       | Some w ->
           (* An instantiation request costs a fixed-size round trip
@@ -1496,39 +1312,11 @@ and on_create_run t (req : Runtime.create_request) =
           (* Forwarding an instantiation request to the peer factory
              costs one round trip: the request plus the marshaled object
              reference coming back. *)
-          let jittered base =
-            if m_jitter = 0. then base
-            else Float.max 0. (Prng.gaussian m_rng ~mu:base ~sigma:(m_jitter *. base))
-          in
           let request = Marshal_size.scalar_overhead + (2 * 16) in
           let reply = Marshal_size.scalar_overhead + Marshal_size.objref_size in
-          let simulate ?(model = m_faults) () =
-            let oc =
-              Fault.call ?model ~retry:m_retry ~rng:m_retry_rng
-                ~now_us:(t.comm +. Runtime.compute_us t.ctx)
-                ~request_bytes:request ~reply_bytes:reply
-                ~request_us:(fun () -> jittered (Network.message_us m_network ~bytes:request))
-                ~reply_us:(fun () -> jittered (Network.message_us m_network ~bytes:reply))
-                ()
-            in
-            t.comm <- t.comm +. oc.Fault.oc_time_us;
-            t.n_retries <- t.n_retries + oc.Fault.oc_retries;
-            t.n_drops <- t.n_drops + oc.Fault.oc_drops;
-            t.n_spikes <- t.n_spikes + oc.Fault.oc_spikes;
-            t.fault_us <- t.fault_us +. oc.Fault.oc_fault_us;
-            (match t.obs with
-            | None -> ()
-            | Some i ->
-                Metrics.inc ~by:oc.Fault.oc_time_us i.i_comm_us;
-                Metrics.inc_int i.i_retries oc.Fault.oc_retries;
-                Metrics.inc_int i.i_drops oc.Fault.oc_drops;
-                Metrics.inc_int i.i_spikes oc.Fault.oc_spikes;
-                Metrics.inc ~by:oc.Fault.oc_fault_us i.i_fault_us);
-            if oc.Fault.oc_retries > 0 && oc.Fault.oc_ok then
-              t.logger.Logger.log
-                (Event.Call_retried
-                   { iface = "ICoCreateInstance"; meth = "create"; retries = oc.Fault.oc_retries });
-            oc
+          let attempt model =
+            round_trip t d ~model ~iface:"ICoCreateInstance" ~meth:"create"
+              ~request_bytes:request ~reply_bytes:reply
           in
           let forwarded () =
             t.n_remote_calls <- t.n_remote_calls + 1;
@@ -1543,72 +1331,32 @@ and on_create_run t (req : Runtime.create_request) =
           (* Graceful degradation: the peer factory never answered (or
              the breaker is open), so place the instance with its
              creator — the factory's co-location default — instead of
-             failing the instantiation. *)
-          let degraded creator_machine =
+             failing the instantiation. A failure may have tripped the
+             breaker and moved the ladder, so the creator's machine is
+             re-read. *)
+          let degraded () =
             t.n_fallbacks <- t.n_fallbacks + 1;
             (match t.obs with None -> () | Some i -> Metrics.inc i.i_fallbacks);
             t.logger.Logger.log (Event.Instantiation_degraded { cname; classification });
-            creator_machine
+            Factory.machine_of m_factory creator
           in
-          match (m_resil, m_fleet) with
-          | None, None ->
-              if (simulate ()).Fault.oc_ok then forwarded () else degraded creator_machine
-          | None, Some f ->
+          match d.m_pool with
+          | None -> if (attempt d.m_faults).Fault.oc_ok then forwarded () else degraded ()
+          | Some p ->
               (* Forward over the pool-host link the new instance's
                  shard lives on (the creator's host when the request
-                 travels pool-to-client). *)
+                 travels pool-to-client). An open breaker fails fast to
+                 the creator, spending no communication on a link known
+                 to be down. *)
               let h =
-                if machine = Constraints.Server then fleet_host f classification
-                else fleet_host f (classification_of t creator)
+                if machine = Constraints.Server then pool_host p classification
+                else pool_host p (classification_of t creator)
               in
-              let hb = f.f_health.(h) in
-              let now = sim_now t in
-              (match Health.observe hb ~now_us:now with
-              | Some tr -> fleet_on_transition t m_factory f ~host:h tr
-              | None -> ());
-              if not (Health.allows hb ~now_us:now) then
-                degraded (Factory.machine_of m_factory creator)
+              if not (pool_admits t m_factory p ~host:h ~now:(sim_now t)) then degraded ()
               else begin
-                let oc = simulate ~model:f.f_faults.(h) () in
-                let now' = sim_now t in
-                let transition =
-                  if oc.Fault.oc_ok then Health.record_success hb ~now_us:now'
-                  else Health.record_failure hb ~now_us:now'
-                in
-                (match transition with
-                | Some tr -> fleet_on_transition t m_factory f ~host:h tr
-                | None -> ());
-                if oc.Fault.oc_ok then forwarded ()
-                else degraded (Factory.machine_of m_factory creator)
-              end
-          | Some r, _ ->
-              let now = sim_now t in
-              (match Health.observe r.r_health ~now_us:now with
-              | Some tr -> resil_on_transition t m_factory r tr
-              | None -> ());
-              if not (Health.allows r.r_health ~now_us:now) then
-                (* Open breaker: fail fast to the creator, spending no
-                   communication on a link known to be down. *)
-                degraded (Factory.machine_of m_factory creator)
-              else begin
-                let oc = simulate () in
-                let now' = sim_now t in
-                let transition =
-                  if oc.Fault.oc_ok then Health.record_success r.r_health ~now_us:now'
-                  else Health.record_failure r.r_health ~now_us:now'
-                in
-                (match transition with
-                | Some tr -> resil_on_transition t m_factory r tr
-                | None -> ());
-                (match r.r_obs with
-                | None -> ()
-                | Some ri -> Metrics.set ri.ri_ewma (Health.ewma r.r_health));
-                if oc.Fault.oc_ok then forwarded ()
-                else
-                  (* A failure may have tripped the breaker and failed
-                     over; re-read the creator's machine so the instance
-                     lands where its creator now lives. *)
-                  degraded (Factory.machine_of m_factory creator)
+                let ok = (attempt p.p_faults.(h)).Fault.oc_ok in
+                pool_record t m_factory p ~host:h ~ok;
+                if ok then forwarded () else degraded ()
               end
         end
       in
@@ -1696,40 +1444,12 @@ let install_profiling ?loggers ?tracer ?metrics ~classifier ctx =
   install ?loggers ?tracer ?metrics ~classifier ~mode:M_profiling ctx
 
 let install_distributed ?loggers ?tracer ?metrics ~classifier ~config ctx =
-  (match (config.dc_watch, config.dc_resilience) with
+  (match (config.dc_fleet, config.dc_watch) with
   | Some _, Some _ ->
       (* Both layers drive the factory policy; arbitrating between a
          failover rung and a freshly-cut placement is out of scope. *)
-      invalid_arg "Rte.install_distributed: dc_watch and dc_resilience cannot be combined"
-  | _ -> ());
-  (match (config.dc_fleet, config.dc_resilience, config.dc_watch) with
-  | Some _, Some _, _ ->
-      invalid_arg "Rte.install_distributed: dc_fleet and dc_resilience cannot be combined"
-  | Some _, _, Some _ ->
       invalid_arg "Rte.install_distributed: dc_fleet and dc_watch cannot be combined"
   | _ -> ());
-  (* Identity gate: a pool of one with no per-host fault overlays IS
-     the two-host resilience path — install that path, so the fleet
-     layer is not merely equivalent but literally absent: zero cost,
-     bit-identical output by construction. *)
-  let config =
-    match config.dc_fleet with
-    | Some fc
-      when (Fallback.pool_rung_at fc.fc_ladder 0).Fallback.pr_shape.Pool.sh_hosts = 1
-           && fc.fc_host_faults = [] ->
-        {
-          config with
-          dc_fleet = None;
-          dc_resilience =
-            Some
-              {
-                rc_ladder = Fallback.pool_base fc.fc_ladder;
-                rc_health = fc.fc_health;
-                rc_max_probe_rounds = fc.fc_max_probe_rounds;
-              };
-        }
-    | _ -> config
-  in
   (* The main program lives on the client. *)
   let factory = Factory.create ?metrics config.dc_factory_policy in
   Factory.record_instance factory ~inst:Runtime.main_instance Constraints.Client;
@@ -1796,26 +1516,10 @@ let install_distributed ?loggers ?tracer ?metrics ~classifier ~config ctx =
         })
       config.dc_watch
   in
-  let resil =
-    Option.map
-      (fun rc ->
-        {
-          r_ladder = rc.rc_ladder;
-          r_health = Health.create ~policy:rc.rc_health ();
-          r_max_probe_rounds = rc.rc_max_probe_rounds;
-          r_obs = Option.map make_resil_instruments metrics;
-          r_rung = 0;
-          r_breaker_opens = 0;
-          r_breaker_closes = 0;
-          r_failovers = 0;
-          r_failbacks = 0;
-          r_migrations = 0;
-          r_stranded = 0;
-          r_rescued = 0;
-        })
-      config.dc_resilience
+  let faults =
+    Option.map (fun sp -> Fault.make ~seed:(fault_seed config.dc_seed) sp) config.dc_faults
   in
-  let fleet_state =
+  let pool_state =
     Option.map
       (fun fc ->
         let pl = fc.fc_ladder in
@@ -1830,54 +1534,56 @@ let install_distributed ?loggers ?tracer ?metrics ~classifier ~config ctx =
             if not (c < Array.length safe && safe.(c)) then comp_safe.(rep) <- false)
           component;
         let shard_count = rung0.Fallback.pr_shard_count in
+        (* Host-link seeding rule: the overlay-free link of a one-host
+           pool is the run's global link, so it shares the global fault
+           model and its stream; every other host link draws from its
+           own stream, so adding hosts never perturbs the global
+           draws. *)
+        let host_faults h =
+          let make = Fault.make ~seed:(host_fault_seed config.dc_seed h) in
+          match List.assoc_opt h fc.fc_host_faults with
+          | None when hosts = 1 -> faults
+          | None -> Option.map make config.dc_faults
+          | Some sp -> Some (make sp)
+        in
+        let obs = if hosts > 1 then Option.map make_fleet_instruments metrics else None in
+        (match obs with
+        | None -> ()
+        | Some fi ->
+            Metrics.set fi.fi_hosts (float_of_int hosts);
+            Metrics.set fi.fi_shards (float_of_int shard_count));
         {
-          f_config = fc;
-          f_ladder = pl;
-          f_health = Array.init hosts (fun _ -> Health.create ~policy:fc.fc_health ());
-          f_faults =
-            Array.init hosts (fun h ->
-                let spec =
-                  match List.assoc_opt h fc.fc_host_faults with
-                  | Some sp -> Some sp
-                  | None -> config.dc_faults
-                in
-                Option.map
-                  (fun sp -> Fault.make ~seed:(host_fault_seed config.dc_seed h) sp)
-                  spec);
-          f_obs = Option.map make_fleet_instruments metrics;
-          f_safe = safe;
-          f_component = component;
-          f_comp_safe = comp_safe;
-          f_window =
+          p_config = fc;
+          p_ladder = pl;
+          p_health = Array.init hosts (fun _ -> Health.create ~policy:fc.fc_health ());
+          p_faults = Array.init hosts host_faults;
+          p_lobs = Option.map make_ladder_instruments metrics;
+          p_obs = obs;
+          p_safe = safe;
+          p_component = component;
+          p_comp_safe = comp_safe;
+          p_window =
             Window.create ~half_life_us:fc.fc_half_life_us
               ~pairs:(Array.init shard_count (fun s -> (s, s)));
-          f_rung = 0;
-          f_shard_of = Array.copy rung0.Fallback.pr_shard_of;
-          f_active = Array.init shard_count (fun s -> Pool.host_of rung0.Fallback.pr_shape s);
-          f_replicated = Array.copy rung0.Fallback.pr_replicated;
-          f_since_check = 0;
-          f_opens = 0;
-          f_closes = 0;
-          f_failovers = 0;
-          f_failbacks = 0;
-          f_migrations = 0;
-          f_stranded = 0;
-          f_rescued = 0;
-          f_promotions = 0;
-          f_splits = 0;
-          f_resizes = 0;
-          f_inter_host = 0;
+          p_rung = 0;
+          p_shard_of = Array.copy rung0.Fallback.pr_shard_of;
+          p_active = Array.init shard_count (fun s -> Pool.host_of rung0.Fallback.pr_shape s);
+          p_replicated = Array.copy rung0.Fallback.pr_replicated;
+          p_since_check = 0;
+          p_opens = 0;
+          p_closes = 0;
+          p_failovers = 0;
+          p_failbacks = 0;
+          p_migrations = 0;
+          p_stranded = 0;
+          p_rescued = 0;
+          p_promotions = 0;
+          p_splits = 0;
+          p_resizes = 0;
+          p_inter_host = 0;
         })
       config.dc_fleet
   in
-  (match fleet_state with
-  | None -> ()
-  | Some f -> (
-      match f.f_obs with
-      | None -> ()
-      | Some fi ->
-          Metrics.set fi.fi_hosts (float_of_int (Array.length f.f_health));
-          Metrics.set fi.fi_shards (float_of_int (Array.length f.f_active))));
   install ?loggers ?tracer ?metrics ~classifier
     ~mode:
       (M_distributed
@@ -1886,15 +1592,11 @@ let install_distributed ?loggers ?tracer ?metrics ~classifier ~config ctx =
            m_network = config.dc_network;
            m_jitter = config.dc_jitter;
            m_rng = Prng.create (jitter_seed config.dc_seed);
-           m_faults =
-             Option.map
-               (fun sp -> Fault.make ~seed:(fault_seed config.dc_seed) sp)
-               config.dc_faults;
+           m_faults = faults;
            m_retry = config.dc_retry;
            m_retry_rng = Prng.create (retry_seed config.dc_seed);
-           m_resil = resil;
            m_watch = watch_state;
-           m_fleet = fleet_state;
+           m_pool = pool_state;
          })
     ctx
 
@@ -1924,14 +1626,6 @@ let remote_calls t = t.n_remote_calls
 let remote_bytes t = t.n_remote_bytes
 let intercepted_calls t = t.n_intercepted
 
-let resil_of t =
-  match t.mode with
-  | M_profiling | M_distributed { m_resil = None; _ } -> None
-  | M_distributed { m_resil = Some r; _ } -> Some r
-
-let link_health t = Option.map (fun r -> r.r_health) (resil_of t)
-let current_rung t = match resil_of t with None -> 0 | Some r -> r.r_rung
-
 let watch_of t =
   match t.mode with
   | M_profiling | M_distributed { m_watch = None; _ } -> None
@@ -1946,10 +1640,10 @@ let watch_window_signature t =
 let watch_tap_counts t =
   Option.map (fun w -> (Tap.offered w.w_tap, Tap.sampled w.w_tap)) (watch_of t)
 
-let fleet_of t =
+let pool_of t =
   match t.mode with
-  | M_profiling | M_distributed { m_fleet = None; _ } -> None
-  | M_distributed { m_fleet = Some f; _ } -> Some f
+  | M_profiling | M_distributed { m_pool = None; _ } -> None
+  | M_distributed { m_pool = Some p; _ } -> Some p
 
 type fleet_stats = {
   fs_breaker_opens : int;
@@ -1970,27 +1664,27 @@ type fleet_stats = {
 
 let fleet_stats t =
   Option.map
-    (fun f ->
+    (fun p ->
       {
-        fs_breaker_opens = f.f_opens;
-        fs_breaker_closes = f.f_closes;
-        fs_failovers = f.f_failovers;
-        fs_failbacks = f.f_failbacks;
-        fs_migrations = f.f_migrations;
-        fs_stranded_calls = f.f_stranded;
-        fs_rescued_calls = f.f_rescued;
-        fs_promotions = f.f_promotions;
-        fs_splits = f.f_splits;
-        fs_resizes = f.f_resizes;
-        fs_inter_host_calls = f.f_inter_host;
-        fs_final_rung = f.f_rung;
-        fs_final_hosts = (fleet_shape f).Pool.sh_hosts;
-        fs_final_shards = Array.length f.f_active;
+        fs_breaker_opens = p.p_opens;
+        fs_breaker_closes = p.p_closes;
+        fs_failovers = p.p_failovers;
+        fs_failbacks = p.p_failbacks;
+        fs_migrations = p.p_migrations;
+        fs_stranded_calls = p.p_stranded;
+        fs_rescued_calls = p.p_rescued;
+        fs_promotions = p.p_promotions;
+        fs_splits = p.p_splits;
+        fs_resizes = p.p_resizes;
+        fs_inter_host_calls = p.p_inter_host;
+        fs_final_rung = p.p_rung;
+        fs_final_hosts = (pool_shape p).Pool.sh_hosts;
+        fs_final_shards = Array.length p.p_active;
       })
-    (fleet_of t)
+    (pool_of t)
 
 let fleet_shard_table t =
-  Option.map (fun f -> (Array.copy f.f_shard_of, Array.copy f.f_active)) (fleet_of t)
+  Option.map (fun p -> (Array.copy p.p_shard_of, Array.copy p.p_active)) (pool_of t)
 
 type stats = {
   st_comm_us : float;
@@ -2003,8 +1697,7 @@ type stats = {
   st_fallbacks : int;
   st_unreachable : int;
   st_fault_us : float;
-  (* Resilience counters — all zero unless a resilience policy was
-     installed. *)
+  (* Ladder counters — all zero unless a ladder was installed. *)
   st_breaker_opens : int;
   st_breaker_closes : int;
   st_failovers : int;
@@ -2025,15 +1718,7 @@ type stats = {
 }
 
 let stats t =
-  let r = resil_of t in
-  let fl = fleet_of t in
-  (* Breaker/ladder counters come from whichever layer is installed —
-     the two-host resilience path or the pool fleet (mutually
-     exclusive), so downstream consumers read one set of fields either
-     way. *)
-  let pick fr ff =
-    match (r, fl) with Some r, _ -> fr r | None, Some f -> ff f | None, None -> 0
-  in
+  let pl f = match pool_of t with None -> 0 | Some p -> f p in
   let w = watch_of t in
   let wi f = match w with None -> 0 | Some w -> f w in
   {
@@ -2047,14 +1732,14 @@ let stats t =
     st_fallbacks = t.n_fallbacks;
     st_unreachable = t.n_unreachable;
     st_fault_us = t.fault_us;
-    st_breaker_opens = pick (fun r -> r.r_breaker_opens) (fun f -> f.f_opens);
-    st_breaker_closes = pick (fun r -> r.r_breaker_closes) (fun f -> f.f_closes);
-    st_failovers = pick (fun r -> r.r_failovers) (fun f -> f.f_failovers);
-    st_failbacks = pick (fun r -> r.r_failbacks) (fun f -> f.f_failbacks);
-    st_migrations = pick (fun r -> r.r_migrations) (fun f -> f.f_migrations);
-    st_stranded_calls = pick (fun r -> r.r_stranded) (fun f -> f.f_stranded);
-    st_rescued_calls = pick (fun r -> r.r_rescued) (fun f -> f.f_rescued);
-    st_final_rung = pick (fun r -> r.r_rung) (fun f -> f.f_rung);
+    st_breaker_opens = pl (fun p -> p.p_opens);
+    st_breaker_closes = pl (fun p -> p.p_closes);
+    st_failovers = pl (fun p -> p.p_failovers);
+    st_failbacks = pl (fun p -> p.p_failbacks);
+    st_migrations = pl (fun p -> p.p_migrations);
+    st_stranded_calls = pl (fun p -> p.p_stranded);
+    st_rescued_calls = pl (fun p -> p.p_rescued);
+    st_final_rung = pl (fun p -> p.p_rung);
     st_drift_checks = wi (fun w -> w.w_checks);
     st_drift_detections = wi (fun w -> w.w_detections);
     st_repartitions = wi (fun w -> w.w_repartitions);

@@ -42,24 +42,6 @@ val install_profiling :
     default to off, and when off the RTE runs exactly the instructions
     it always did — profiles, stats, and events are bit-identical. *)
 
-type resilience_config = {
-  rc_ladder : Fallback.t;
-      (** ranked fallback distributions; rung 0 should match the
-          installed factory policy so failback restores it *)
-  rc_health : Coign_netsim.Health.policy;  (** breaker configuration *)
-  rc_max_probe_rounds : int;
-      (** failed attempt/probe rounds a single call endures (waiting
-          out cooloffs in between) before raising [E_unreachable] *)
-}
-
-val resilience :
-  ?health:Coign_netsim.Health.policy ->
-  ?max_probe_rounds:int ->
-  Fallback.t ->
-  resilience_config
-(** Convenience constructor: {!Coign_netsim.Health.default_policy} and
-    8 probe rounds unless overridden. *)
-
 type fleet_config = {
   fc_ladder : Fallback.pool_ladder;
       (** pool-elastic ladder; rung 0 is the widest pool, the tail is
@@ -78,8 +60,11 @@ type fleet_config = {
   fc_host_faults : (int * Coign_netsim.Fault.spec) list;
       (** per-host fault overlays (host index -> spec), replacing
           [dc_faults] on that host's link; hosts not listed keep the
-          global model. Seeded {!Coign_util.Prng.stream} [8 + host] of
-          [dc_seed], so a pool run never perturbs the global streams *)
+          global spec. Every host link draws its verdicts from
+          {!Coign_util.Prng.stream} [8 + host] of [dc_seed], so a pool
+          run never perturbs the global streams — except the
+          overlay-free link of a one-host pool, which is the run's
+          global link and shares the global fault model (stream 2) *)
 }
 
 val fleet :
@@ -94,7 +79,22 @@ val fleet :
 (** Convenience constructor: {!Coign_netsim.Health.default_policy},
     8 probe rounds, 0.6 split share, a check every 64 observations,
     200 ms half-life, no per-host overlays. Raises on a split share
-    outside (0, 1] or a non-positive check cadence. *)
+    outside (0, 1], a non-positive check cadence, or fewer than one
+    probe round. *)
+
+type resilience_config = fleet_config
+(** Resilience is the one-host pool: the two-host fallback ladder runs
+    as a pool ladder whose every rung has one host. *)
+
+val resilience :
+  ?health:Coign_netsim.Health.policy ->
+  ?max_probe_rounds:int ->
+  Fallback.t ->
+  resilience_config
+(** [fleet] over {!Fallback.pool_of_one}: rung 0 should match the
+    installed factory policy so failback restores it.
+    {!Coign_netsim.Health.default_policy} and 8 probe rounds unless
+    overridden. *)
 
 type watch_config = {
   wc_session : Analysis.Session.t;
@@ -160,32 +160,22 @@ type distributed_config = {
                             [Some Fault.zero]) runs fault-free *)
   dc_retry : Coign_netsim.Fault.retry_policy;
                         (** how cross-machine messaging survives drops *)
-  dc_resilience : resilience_config option;
-                        (** adaptive failover across the fallback
-                            ladder; [None] (the default everywhere)
-                            runs the PR 3 retry-only path, bit for
-                            bit *)
   dc_watch : watch_config option;
                         (** online drift watch and bounded-staleness
                             re-partitioning; [None] (the default
                             everywhere) runs the static placement, bit
                             for bit. Mutually exclusive with
-                            [dc_resilience] — both drive the factory
+                            [dc_fleet] — both drive the factory
                             policy — and requires a
                             [Factory.By_classification] policy as the
                             initial placement *)
   dc_fleet : fleet_config option;
-                        (** replicated server pool with per-replica
-                            breakers, hot-shard splitting and
-                            pool-elastic failover; [None] (the default
-                            everywhere) runs the single-server paths
-                            above, bit for bit. Mutually exclusive
-                            with [dc_resilience] and [dc_watch]. A
-                            pool of one with no host overlays is
-                            rewritten at install time into the exact
-                            [dc_resilience] configuration over the
-                            ladder's base — the fleet layer is then
-                            literally absent *)
+                        (** the fallback ladder: a server pool with
+                            per-host breakers, hot-shard splitting and
+                            pool-elastic failover. Resilience is the
+                            one-host pool ({!resilience}). [None] (the
+                            default everywhere) runs the retry-only
+                            path, bit for bit *)
 }
 
 val install_distributed :
@@ -211,9 +201,9 @@ val install_distributed :
     gracefully — the instance is placed with its creator and the
     fallback counted (see {!stats}).
 
-    With [dc_resilience], every forwarded call and create is routed
-    through a link circuit breaker ({!Coign_netsim.Health}). Failures
-    feed the breaker; when it opens, the RTE atomically switches the
+    With a one-host ladder ({!resilience}), every forwarded call and
+    create is routed through a link circuit breaker
+    ({!Coign_netsim.Health}). Failures feed the breaker; when it opens, the RTE atomically switches the
     factory to the next rung of the fallback ladder, migrates the
     instances the static remotability facts mark safe, and lets the
     failed call complete locally if the failover co-located its
@@ -225,8 +215,8 @@ val install_distributed :
     escalated cooloff. Breaker transitions and rung switches are
     logged ({!Event.Breaker_opened} etc.), traced (category
     ["resilience"]) and counted ([coign_resilience_*] metrics and
-    {!stats}). With [dc_resilience = None] the run is bit-identical to
-    one without the resilience layer compiled in.
+    {!stats}). With [dc_fleet = None] the run is bit-identical to one
+    without the ladder compiled in.
 
     With [dc_watch], every intercepted call and create also feeds an
     exponentially-decayed observation window ({!Window}) and, when a
@@ -248,15 +238,16 @@ val install_distributed :
     applies to the very call that triggered it. With [dc_watch = None]
     the run is bit-identical to one without the watch compiled in.
 
-    With [dc_fleet], the logical server side runs as a pool: each
-    component shard lives on the host its rung's {!Pool.shape}
-    assigns, every host link carries its own circuit breaker, and
+    With a wider ladder ({!fleet}), the logical server side runs as a
+    pool: each component shard lives on the host its rung's
+    {!Pool.shape} assigns, every host link carries its own circuit
+    breaker ([coign_fleet_*] metrics join the breaker set), and
     reads of a replicated shard survive a host loss by promotion — the
     first healthy replica in ring order takes over the shard
     ({!Event.Replica_promoted}) without touching the rest of the pool.
     A breaker opening on a host whose shards cannot all be promoted
     shrinks the pool one rung ({!Event.Pool_resized}), migrating only
-    the statically-safe instances, exactly as resilience failover
+    the statically-safe instances, exactly as a one-host failover
     does; probe success on the degraded host fails back to the widest
     rung. Per-link observation volume feeds a decayed window; a shard
     exceeding [fc_split_share] of the load is split, its migration-safe
@@ -310,7 +301,7 @@ type stats = {
   st_fallbacks : int;      (** instantiations degraded to the creator *)
   st_unreachable : int;    (** calls abandoned with [E_unreachable] *)
   st_fault_us : float;     (** comm time attributable to faults *)
-  st_breaker_opens : int;  (** breaker trips (zero without resilience) *)
+  st_breaker_opens : int;  (** breaker trips (zero without a ladder) *)
   st_breaker_closes : int;
   st_failovers : int;      (** switches down the fallback ladder *)
   st_failbacks : int;      (** switches back up to the primary *)
@@ -330,12 +321,6 @@ type stats = {
 
 val stats : t -> stats
 (** One-shot snapshot of the run's communication and fault counters. *)
-
-val link_health : t -> Coign_netsim.Health.t option
-(** The breaker state, when a resilience policy is installed. *)
-
-val current_rung : t -> int
-(** Fallback rung currently installed (0 without resilience). *)
 
 val watch_timeline : t -> watch_checkpoint list
 (** Every drift check the watch ran, in virtual-time order (empty
@@ -373,9 +358,7 @@ type fleet_stats = {
 }
 
 val fleet_stats : t -> fleet_stats option
-(** Pool counters, when a fleet is installed. [None] when the
-    install-time identity gate rewrote a pool of one into the plain
-    resilience path — the shared counters then live in {!stats}. *)
+(** Pool counters, when a ladder is installed — one host or many. *)
 
 val fleet_shard_table : t -> (int array * int array) option
 (** [(shard_of, active_host_of_shard)]: classification -> shard id

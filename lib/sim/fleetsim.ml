@@ -79,8 +79,8 @@ let run ?pool ?profiler ?(seed = 0x5EEDL) ?(jitter = 0.) ?(retry = Fault.default
        crash is a *host* event: host 0's link partitions while the
        rest of the pool stays reachable. A pool of one has no other
        host, so its crash is the global partition — exactly the
-       baseline's world, which is what lets the identity gate fire and
-       the pool-1 row double as the bit-identity check. *)
+       baseline's world, which is what lets the pool-1 row double as
+       the bit-identity check. *)
     let global_faults =
       match regime with
       | Clean -> None

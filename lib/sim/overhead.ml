@@ -52,7 +52,6 @@ let measure ?(repeats = 3) (app : App.t) (sc : App.scenario) =
             dc_seed = 1L;
             dc_faults = None;
             dc_retry = Coign_netsim.Fault.default_retry;
-            dc_resilience = None;
             dc_fleet = None;
             dc_watch = None;
           }

@@ -112,7 +112,6 @@ let run ?pool ?metrics ?(threshold = 0.90) ?(check_every = 64) ?(min_dwell_us = 
             dc_seed = seed;
             dc_faults = None;
             dc_retry = Fault.default_retry;
-            dc_resilience = None;
             dc_fleet = None;
             dc_watch = wc;
           }

@@ -98,7 +98,6 @@ let test_factory_realizes_analysis_placement () =
           dc_seed = 3L;
           dc_faults = None;
           dc_retry = Fault.default_retry;
-          dc_resilience = None;
           dc_fleet = None;
           dc_watch = None;
         }

@@ -103,7 +103,6 @@ let run_distributed_counts (app : App.t) classifier policy (sc : App.scenario) =
           dc_seed = 1L;
           dc_faults = None;
           dc_retry = Fault.default_retry;
-          dc_resilience = None;
           dc_fleet = None;
           dc_watch = None;
         }

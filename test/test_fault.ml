@@ -209,7 +209,6 @@ let run_split ?(jitter = 0.) ?(seed = 1L) ?faults ?(retry = fixed_retry) rounds 
           dc_seed = seed;
           dc_faults = faults;
           dc_retry = retry;
-          dc_resilience = None;
           dc_fleet = None;
           dc_watch = None;
         }
@@ -297,7 +296,6 @@ let test_rte_partition_mid_run_unreachable () =
           dc_seed = 1L;
           dc_faults = Some { Fault.zero with Fault.fs_partitions_us = [ (2_000., 1e9) ] };
           dc_retry = fixed_retry;
-          dc_resilience = None;
           dc_fleet = None;
           dc_watch = None;
         }

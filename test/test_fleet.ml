@@ -118,12 +118,12 @@ let mini_pool_ladder ~hosts =
   ( dist primary,
     Fallback.pool_ladder ~hosts session ~net:(Net_profiler.exact Network.ethernet_10) base )
 
-let run_fleet ?host_faults ~rounds pl primary =
+let run_fleet ?metrics ?host_faults ~rounds pl primary =
   let classifier, _, _, _ = Lazy.force profiled in
   let recorder, events = Logger.event_recorder () in
   let ctx = Runtime.create_ctx (registry ()) in
   let rte =
-    Rte.install_distributed ~loggers:[ recorder ] ~classifier
+    Rte.install_distributed ?metrics ~loggers:[ recorder ] ~classifier
       ~config:
         {
           Rte.dc_factory_policy = Factory.By_classification primary;
@@ -132,7 +132,6 @@ let run_fleet ?host_faults ~rounds pl primary =
           dc_seed = 1L;
           dc_faults = None;
           dc_retry = fixed_retry;
-          dc_resilience = None;
           dc_fleet = Some (Rte.fleet ?host_faults pl);
           dc_watch = None;
         }
@@ -221,6 +220,64 @@ let test_promotion_trace_hand_computed () =
   Alcotest.(check int) "every intercepted call still ran"
     clean_st.Rte.st_intercepted st.Rte.st_intercepted
 
+(* --- Ladder metrics ---------------------------------------------------- *)
+
+(* The value of an unlabelled series in a registry's text exposition. *)
+let exported reg name =
+  let prefix = name ^ " " in
+  let line =
+    List.find_opt
+      (fun l -> String.starts_with ~prefix l)
+      (String.split_on_char '\n' (Coign_obs.Metrics.prometheus reg))
+  in
+  Option.map
+    (fun l ->
+      float_of_string (String.sub l (String.length prefix) (String.length l - String.length prefix)))
+    line
+
+let has_family reg prefix =
+  List.exists
+    (fun l -> String.starts_with ~prefix l)
+    (String.split_on_char '\n' (Coign_obs.Metrics.prometheus reg))
+
+let test_pool_feeds_ladder_metrics () =
+  (* The crash trace above, observed: every ladder run feeds the
+     breaker and ladder instruments, whatever its host count. *)
+  let _, _, _, cback = Lazy.force profiled in
+  let primary, pl = mini_pool_ladder ~hosts:2 in
+  let rung0 = Fallback.pool_rung_at pl 0 in
+  let crash = Pool.host_of rung0.Fallback.pr_shape rung0.Fallback.pr_shard_of.(cback) in
+  let window = { Fault.zero with Fault.fs_partitions_us = [ (2_000., 1_000_000.) ] } in
+  let reg = Coign_obs.Metrics.registry () in
+  let fs, _, _ = run_fleet ~metrics:reg ~host_faults:[ (crash, window) ] ~rounds:10 pl primary in
+  Alcotest.(check int) "the crash opened a breaker" 1 fs.Rte.fs_breaker_opens;
+  Alcotest.(check (option (float 0.))) "breaker opens exported"
+    (Some (float_of_int fs.Rte.fs_breaker_opens))
+    (exported reg "coign_resilience_breaker_opens_total");
+  Alcotest.(check (option (float 0.))) "promotions exported"
+    (Some (float_of_int fs.Rte.fs_promotions))
+    (exported reg "coign_fleet_promotions_total");
+  (* A one-host ladder keeps the resilience metric set: breaker and
+     ladder instruments, no fleet family. *)
+  let primary, pl1 = mini_pool_ladder ~hosts:1 in
+  let reg1 = Coign_obs.Metrics.registry () in
+  let fs1, _, _ = run_fleet ~metrics:reg1 ~host_faults:[ (0, window) ] ~rounds:10 pl1 primary in
+  Alcotest.(check (option (float 0.))) "one-host breaker opens exported"
+    (Some (float_of_int fs1.Rte.fs_breaker_opens))
+    (exported reg1 "coign_resilience_breaker_opens_total");
+  Alcotest.(check bool) "no fleet family on one host" false (has_family reg1 "coign_fleet_")
+
+let test_max_probe_rounds_rejected () =
+  let _, pl = mini_pool_ladder ~hosts:2 in
+  let rejects name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "fleet rejects zero probe rounds" (fun () -> Rte.fleet ~max_probe_rounds:0 pl);
+  rejects "resilience rejects zero probe rounds" (fun () ->
+      Rte.resilience ~max_probe_rounds:0 (Fallback.pool_base pl));
+  ignore (Rte.fleet ~max_probe_rounds:1 pl)
+
 (* --- Shard-map stability --------------------------------------------- *)
 
 let qcheck_hash_shard_stable =
@@ -308,7 +365,11 @@ let test_pool1_bit_identity () =
   let net = Net_profiler.exact Network.ethernet_10 in
   let base = Adps.fallback_ladder ~image:profiled ~net () in
   let pl = Adps.pool_fallback_ladder ~hosts:1 ~image:profiled ~net () in
-  let faults = { Fault.zero with Fault.fs_partitions_us = [ (50_000., 550_000.) ] } in
+  (* Drops make the verdicts depend on the stream each host link draws
+     from, which partitions alone do not. *)
+  let faults =
+    { Fault.zero with Fault.fs_drop_rate = 0.1; fs_partitions_us = [ (50_000., 550_000.) ] }
+  in
   let resil =
     Adps.execute ~image ~registry:app.App.app_registry ~network:Network.ethernet_10
       ~seed:0x5EEDL ~faults ~resilience:(Rte.resilience base) sc.App.sc_run
@@ -322,7 +383,35 @@ let test_pool1_bit_identity () =
   Alcotest.(check int) "one host" 1 fstats.Rte.fs_final_hosts;
   Alcotest.(check int) "one shard" 1 fstats.Rte.fs_final_shards;
   Alcotest.(check int) "no promotions on a pool of one" 0 fstats.Rte.fs_promotions;
-  Alcotest.(check int) "no resizes on a pool of one" 0 fstats.Rte.fs_resizes
+  Alcotest.(check int) "no resizes on a pool of one" 0 fstats.Rte.fs_resizes;
+  (* Host-link seeding rule: the one-host link draws from the global
+     fault stream, so under drops alone — no breaker trip, no exhausted
+     retry cycle — the ladder run is the retry-only run, bit for bit. *)
+  let drops = { Fault.zero with Fault.fs_drop_rate = 0.1 } in
+  let run ?resilience () =
+    Adps.execute ~image ~registry:app.App.app_registry ~network:Network.ethernet_10
+      ~seed:0x5EEDL ~faults:drops ?resilience sc.App.sc_run
+  in
+  let retry_only = run () and lossy = run ~resilience:(Rte.resilience base) () in
+  Alcotest.(check bool) "drops were drawn" true (retry_only.Adps.es_drops > 0);
+  Alcotest.(check int) "no exhausted retry cycle" 0 retry_only.Adps.es_unreachable;
+  Alcotest.(check int) "no breaker trip" 0 lossy.Adps.es_breaker_opens;
+  Alcotest.(check bool) "one-host link draws the global fault stream" true (retry_only = lossy);
+  (* The session-free one-host ladder [Rte.resilience] runs is the
+     session-built pool of one. *)
+  let one = Fallback.pool_of_one base in
+  Alcotest.(check int) "same rung count" (Fallback.pool_rung_count pl)
+    (Fallback.pool_rung_count one);
+  for i = 0 to Fallback.pool_rung_count pl - 1 do
+    let a = Fallback.pool_rung_at pl i and b = Fallback.pool_rung_at one i in
+    Alcotest.(check string) "rung name" a.Fallback.pr_name b.Fallback.pr_name;
+    Alcotest.(check bool) (a.Fallback.pr_name ^ " distribution") true
+      (a.Fallback.pr_distribution = b.Fallback.pr_distribution);
+    Alcotest.(check (array int)) (a.Fallback.pr_name ^ " shard table") a.Fallback.pr_shard_of
+      b.Fallback.pr_shard_of;
+    Alcotest.(check (array bool)) (a.Fallback.pr_name ^ " replication") a.Fallback.pr_replicated
+      b.Fallback.pr_replicated
+  done
 
 (* --- The grid is deterministic across domains ------------------------ *)
 
@@ -387,6 +476,10 @@ let suite =
   [
     Alcotest.test_case "hand-computed promotion trace under single-host crash" `Quick
       test_promotion_trace_hand_computed;
+    Alcotest.test_case "every ladder run feeds the resilience metrics" `Quick
+      test_pool_feeds_ladder_metrics;
+    Alcotest.test_case "max_probe_rounds below one rejected" `Quick
+      test_max_probe_rounds_rejected;
     QCheck_alcotest.to_alcotest ~long:false qcheck_hash_shard_stable;
     QCheck_alcotest.to_alcotest ~long:false qcheck_range_shard_semantics;
     QCheck_alcotest.to_alcotest ~long:false qcheck_replica_ring;

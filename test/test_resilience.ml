@@ -192,7 +192,6 @@ let discover =
              dc_seed = 1L;
              dc_faults = None;
              dc_retry = fixed_retry;
-             dc_resilience = None;
              dc_fleet = None;
              dc_watch = None;
            }
@@ -250,8 +249,7 @@ let run_resil ?faults ?resilience ?(policy = None) ~rounds () =
           dc_seed = 1L;
           dc_faults = faults;
           dc_retry = fixed_retry;
-          dc_resilience = resilience;
-          dc_fleet = None;
+          dc_fleet = resilience;
           dc_watch = None;
         }
       ctx

@@ -154,7 +154,6 @@ let distributed_config policy =
     dc_seed = 1L;
     dc_faults = None;
     dc_retry = Coign_netsim.Fault.default_retry;
-    dc_resilience = None;
     dc_fleet = None;
     dc_watch = None;
   }
@@ -202,7 +201,6 @@ let test_jitter_perturbs () =
             dc_seed = seed;
             dc_faults = None;
             dc_retry = Coign_netsim.Fault.default_retry;
-            dc_resilience = None;
             dc_fleet = None;
             dc_watch = None;
           }

@@ -406,7 +406,6 @@ let vdiscover =
              dc_seed = 1L;
              dc_faults = None;
              dc_retry = fixed_retry;
-             dc_resilience = None;
              dc_fleet = None;
              dc_watch = None;
            }
@@ -478,8 +477,7 @@ let test_rte_unsafe_migration_faults () =
           dc_seed = 1L;
           dc_faults = Some { Fault.zero with Fault.fs_partitions_us = [ (4_000., 1e9) ] };
           dc_retry = fixed_retry;
-          dc_resilience = Some (Rte.resilience ~health:breaker_policy ladder);
-          dc_fleet = None;
+          dc_fleet = Some (Rte.resilience ~health:breaker_policy ladder);
           dc_watch = None;
         }
       ctx

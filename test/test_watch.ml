@@ -186,7 +186,6 @@ let run_deployed ?watch ?loggers (app, profiled, session, net) ids =
           dc_seed = 0x5EEDL;
           dc_faults = None;
           dc_retry = Fault.default_retry;
-          dc_resilience = None;
           dc_fleet = None;
           dc_watch = wc;
         }
