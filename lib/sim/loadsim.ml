@@ -60,12 +60,6 @@ let arrival_of_string s =
    with a sequential fill bit for bit. Each session draws a unit-mean
    exponential (its share of inter-arrival spacing) and a scenario
    pick, in that fixed order. *)
-let session_draws ~seed ~classes s =
-  let g = Prng.create (Prng.stream seed s) in
-  let e = Prng.exponential g ~mean:1. in
-  let c = Prng.int g classes in
-  (e, c)
-
 let batch = 16_384
 
 let gen_arrivals ?pool ~seed ~sessions ~classes arrival =
@@ -74,42 +68,36 @@ let gen_arrivals ?pool ~seed ~sessions ~classes arrival =
   (match validate_arrival arrival with
   | Ok _ -> ()
   | Error e -> invalid_arg ("Loadsim.gen_arrivals: " ^ e));
-  let spacing = Array.make sessions 0. in
+  (* [arrivals] holds each session's spacing draw until the prefix pass
+     below turns it into a timestamp in place. *)
+  let arrivals = Array.make sessions 0. in
   let class_of = Array.make sessions 0 in
   let chunks =
     Array.init
       ((sessions + batch - 1) / batch)
       (fun i -> (i * batch, min batch (sessions - (i * batch))))
   in
+  (* Each chunk writes only its own slice of the two arrays, so chunks
+     may run on any domain in any order. *)
   let fill (start, len) =
-    let e = Array.make len 0. and c = Array.make len 0 in
-    for k = 0 to len - 1 do
-      let ek, ck = session_draws ~seed ~classes (start + k) in
-      e.(k) <- ek;
-      c.(k) <- ck
-    done;
-    (e, c)
+    for s = start to start + len - 1 do
+      let g = Prng.create (Prng.stream seed s) in
+      arrivals.(s) <- Prng.exponential g ~mean:1.;
+      class_of.(s) <- Prng.int g classes
+    done
   in
-  let filled =
-    match pool with
-    | None -> Array.map fill chunks
-    | Some pool -> Parallel.map pool ~f:fill chunks
-  in
-  Array.iteri
-    (fun i (e, c) ->
-      let start, len = chunks.(i) in
-      Array.blit e 0 spacing start len;
-      Array.blit c 0 class_of start len)
-    filled;
+  (match pool with
+  | None -> Array.iter fill chunks
+  | Some pool -> ignore (Parallel.map pool ~f:fill chunks : unit array));
   (* The exponential draws become timestamps in one sequential prefix
      pass — each process is a monotone transform of the accumulated
-     spacing, so timestamps are nondecreasing by construction. *)
-  let arrivals = Array.make sessions 0. in
+     spacing, so timestamps are nondecreasing by construction. Slot [s]
+     is read before it is overwritten. *)
   (match arrival with
   | Poisson rate ->
       let t = ref 0. in
       for s = 0 to sessions - 1 do
-        t := !t +. (spacing.(s) *. 1e6 /. rate);
+        t := !t +. (arrivals.(s) *. 1e6 /. rate);
         arrivals.(s) <- !t
       done
   | Bursty { b_rate; b_on_ms; b_off_ms } ->
@@ -119,7 +107,7 @@ let gen_arrivals ?pool ~seed ~sessions ~classes arrival =
       let on_us = b_on_ms *. 1e3 and off_us = b_off_ms *. 1e3 in
       let v = ref 0. in
       for s = 0 to sessions - 1 do
-        v := !v +. (spacing.(s) *. 1e6 /. b_rate);
+        v := !v +. (arrivals.(s) *. 1e6 /. b_rate);
         let k = Float.of_int (int_of_float (!v /. on_us)) in
         arrivals.(s) <- (k *. (on_us +. off_us)) +. (!v -. (k *. on_us))
       done
@@ -135,7 +123,7 @@ let gen_arrivals ?pool ~seed ~sessions ~classes arrival =
       in
       let t = ref 0. in
       for s = 0 to sessions - 1 do
-        t := !t +. (spacing.(s) *. 1e6 /. rate !t);
+        t := !t +. (arrivals.(s) *. 1e6 /. rate !t);
         arrivals.(s) <- !t
       done);
   (arrivals, class_of)
@@ -155,43 +143,61 @@ type session_class = {
    of (request, reply) byte pairs it would charge — same machine
    tracking, same instantiation-forwarding sizes, same skip rules — so
    that summing the unloaded per-op costs in trace order reproduces
-   [re_comm_us] bit for bit. *)
-let ops_of_events ~placement events =
-  let machines : (int, Constraints.location) Hashtbl.t = Hashtbl.create 256 in
+   [re_comm_us] bit for bit. One event at a time, so a recording can
+   feed it directly instead of first building the whole trace. *)
+type op_compiler = {
+  oc_placement : int -> Constraints.location;
+  oc_machines : (int, Constraints.location) Hashtbl.t;
+  mutable oc_ops : (int * int) list;  (* newest first *)
+}
+
+let op_compiler ~placement =
+  let machines = Hashtbl.create 256 in
   Hashtbl.replace machines Coign_com.Runtime.main_instance Constraints.Client;
+  { oc_placement = placement; oc_machines = machines; oc_ops = [] }
+
+let compile_event st event =
   let machine_of inst =
-    Option.value ~default:Constraints.Client (Hashtbl.find_opt machines inst)
+    Option.value ~default:Constraints.Client (Hashtbl.find_opt st.oc_machines inst)
   in
-  let ops = ref [] in
-  List.iter
-    (fun event ->
-      match event with
-      | Event.Component_instantiated { inst; classification; creator; _ } ->
-          let creator_machine = machine_of creator in
-          let machine = placement classification in
-          let machine = if classification < 0 then creator_machine else machine in
-          if machine <> creator_machine then
-            ops :=
-              ( Coign_idl.Marshal_size.scalar_overhead + (2 * 16),
-                Coign_idl.Marshal_size.scalar_overhead + Coign_idl.Marshal_size.objref_size )
-              :: !ops;
-          Hashtbl.replace machines inst machine
-      | Event.Interface_call { caller; callee; iface; remotable; request_bytes; reply_bytes; _ }
-        ->
-          if String.equal iface "ICoCreateInstance" then ()
-          else if machine_of caller <> machine_of callee then
-            if remotable then ops := (request_bytes, reply_bytes) :: !ops
-            else (* cross-cut non-remotable call: Replay records a
-                    violation and charges nothing; so do we. *)
-              ()
-      | Event.Component_destroyed _ | Event.Interface_instantiated _
-      | Event.Interface_destroyed _ | Event.Call_retried _ | Event.Instantiation_degraded _
-      | Event.Breaker_opened _ | Event.Breaker_closed _ | Event.Failover _ | Event.Failback _
-      | Event.Instance_migrated _ | Event.Drift_detected _ | Event.Repartitioned _
-      | Event.Replica_promoted _ | Event.Shard_split _ | Event.Pool_resized _ ->
-          ())
-    events;
-  List.rev !ops
+  match event with
+  | Event.Component_instantiated { inst; classification; creator; _ } ->
+      let creator_machine = machine_of creator in
+      let machine = st.oc_placement classification in
+      let machine = if classification < 0 then creator_machine else machine in
+      if machine <> creator_machine then
+        st.oc_ops <-
+          ( Coign_idl.Marshal_size.scalar_overhead + (2 * 16),
+            Coign_idl.Marshal_size.scalar_overhead + Coign_idl.Marshal_size.objref_size )
+          :: st.oc_ops;
+      Hashtbl.replace st.oc_machines inst machine
+  | Event.Interface_call { caller; callee; iface; remotable; request_bytes; reply_bytes; _ } ->
+      if String.equal iface "ICoCreateInstance" then ()
+      else if machine_of caller <> machine_of callee then
+        if remotable then st.oc_ops <- (request_bytes, reply_bytes) :: st.oc_ops
+        else (* cross-cut non-remotable call: Replay records a
+                violation and charges nothing; so do we. *)
+          ()
+  | Event.Component_destroyed _ | Event.Interface_instantiated _
+  | Event.Interface_destroyed _ | Event.Call_retried _ | Event.Instantiation_degraded _
+  | Event.Breaker_opened _ | Event.Breaker_closed _ | Event.Failover _ | Event.Failback _
+  | Event.Instance_migrated _ | Event.Drift_detected _ | Event.Repartitioned _
+  | Event.Replica_promoted _ | Event.Shard_split _ | Event.Pool_resized _ ->
+      ()
+
+let finish_ops st = List.rev st.oc_ops
+
+let ops_of_events ~placement events =
+  let st = op_compiler ~placement in
+  List.iter (compile_event st) events;
+  finish_ops st
+
+let ops_of_scenario ~registry ~classifier ~placement run =
+  let st = op_compiler ~placement in
+  Replay.stream_scenario ~registry ~classifier
+    ~logger:{ Logger.logger_name = "loadsim"; log = compile_event st }
+    run;
+  finish_ops st
 
 let class_of_ops ~network ~scenario ops =
   let n = List.length ops in
@@ -353,15 +359,6 @@ type result = {
   r_link_util : float;
 }
 
-(* Same interpolation as Stats.percentile, but over a pre-sorted array
-   so a million-session run sorts once, not once per percentile. *)
-let percentile_sorted sorted p =
-  let n = Array.length sorted in
-  let rank = p /. 100. *. float_of_int (n - 1) in
-  let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
-  let frac = rank -. floor rank in
-  (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
-
 let compile_classes ~image ~network ~app scenarios =
   List.map
     (fun (sc : App.scenario) ->
@@ -373,10 +370,10 @@ let compile_classes ~image ~network ~app scenarios =
           invalid_arg
             "Loadsim.run: image holds no distribution (profile and analyze it first)"
       | Some (classifier, dist) ->
-          let events =
-            Replay.record_scenario ~registry:app.App.app_registry ~classifier sc.App.sc_run
+          let ops =
+            ops_of_scenario ~registry:app.App.app_registry ~classifier
+              ~placement:(Analysis.location_of dist) sc.App.sc_run
           in
-          let ops = ops_of_events ~placement:(Analysis.location_of dist) events in
           class_of_ops ~network ~scenario:sc.App.sc_id ops)
     scenarios
 
@@ -434,8 +431,9 @@ let run ?pool ?metrics ?(queueing = true) ?deadline_us ?scenarios ~sessions ~arr
     end
   in
   let lat = totals.st_latency_us in
-  let sorted = Array.copy lat in
-  Array.sort Float.compare sorted;
+  (* The mean and the deadline count read [lat] in session order; the
+     percentile selection below then permutes it in place. *)
+  let mean = Stats.mean lat in
   let duration = totals.st_last_finish_us -. arrivals.(0) in
   let throughput =
     if duration > 0. then float_of_int sessions /. (duration /. 1e6) else 0.
@@ -448,6 +446,8 @@ let run ?pool ?metrics ?(queueing = true) ?deadline_us ?scenarios ~sessions ~arr
         Array.iter (fun l -> if l <= d then incr ok) lat;
         float_of_int !ok /. float_of_int sessions
   in
+  (* Selecting p100 also leaves the maximum at [lat.(sessions - 1)]. *)
+  let q = Stats.select_percentiles lat [| 50.; 95.; 99.; 100. |] in
   let per_class_sessions = Array.make (Array.length classes) 0 in
   Array.iter (fun c -> per_class_sessions.(c) <- per_class_sessions.(c) + 1) class_of;
   let class_stats =
@@ -472,11 +472,11 @@ let run ?pool ?metrics ?(queueing = true) ?deadline_us ?scenarios ~sessions ~arr
       r_deadline_us = deadline_us;
       r_classes = class_stats;
       r_total_ops = totals.st_ops;
-      r_p50_us = percentile_sorted sorted 50.;
-      r_p95_us = percentile_sorted sorted 95.;
-      r_p99_us = percentile_sorted sorted 99.;
-      r_mean_us = Stats.mean lat;
-      r_max_us = (if sessions = 0 then 0. else sorted.(sessions - 1));
+      r_p50_us = q.(0);
+      r_p95_us = q.(1);
+      r_p99_us = q.(2);
+      r_mean_us = mean;
+      r_max_us = lat.(sessions - 1);
       r_throughput_per_s = throughput;
       r_availability = availability;
       r_duration_us = duration;
@@ -496,6 +496,7 @@ let run ?pool ?metrics ?(queueing = true) ?deadline_us ?scenarios ~sessions ~arr
         (Metrics.counter reg ~help:"Remote operations simulated under load"
            "coign_load_ops_total")
         totals.st_ops;
+      (* [lat] is permuted by now; histogram buckets ignore order. *)
       let lat_hist =
         Metrics.histogram reg ~help:"End-to-end session latency under load (us)"
           "coign_load_session_latency_us"

@@ -84,6 +84,18 @@ val ops_of_events :
     and remotable cross-machine calls; non-remotable violations charge
     nothing, exactly as in {!Replay.replay}. *)
 
+val ops_of_scenario :
+  registry:Coign_com.Runtime.registry ->
+  classifier:Coign_core.Classifier.t ->
+  placement:(int -> Coign_core.Constraints.location) ->
+  (Coign_com.Runtime.ctx -> unit) ->
+  (int * int) list
+(** [ops_of_events] over a fresh profiling run of the scenario, fed
+    event by event as the run logs them ({!Replay.stream_scenario}),
+    so the trace is never held in memory. Equal to [ops_of_events
+    ~placement] over {!Replay.record_scenario} with an equally fresh
+    [classifier]. This is how {!run} compiles its mix. *)
+
 val class_of_ops :
   network:Coign_netsim.Network.t -> scenario:string -> (int * int) list -> session_class
 (** Price an op list against a network model. Exposed so tests can
@@ -174,8 +186,16 @@ val run :
     distribution. The scenario mix defaults to the app's non-bigone
     scenarios, drawn uniformly per session; [scenarios] restricts it.
     Each scenario is recorded once under a fresh profiling run and
-    compiled to per-op service demands, so cost is O(mix) + O(total
-    ops), never O(sessions) scenario executions. [queueing:false]
+    compiled to per-op service demands as its events stream past
+    ({!ops_of_scenario}), never O(sessions) scenario executions.
+
+    Complexity: O(mix recording) + O(sessions + total ops) time in
+    expectation — arrival generation and the event loop are linear,
+    and the p50/p95/p99/max latencies are read by in-place selection
+    ({!Coign_util.Stats.select_percentiles}, expected linear and
+    O(sessions log sessions) at worst), not by sorting. Space is
+    O(sessions) flat arrays: arrival times, class picks, latencies and
+    the event loop's continuation ring. [queueing:false]
     prices every session at its class's unloaded estimate (the
     identity-gate mode). [metrics] populates [coign_load_*] counters,
     gauges, and latency/comm histograms. Raises [Invalid_argument] for

@@ -132,12 +132,15 @@ let replay ?faults ?(retry = Fault.default_retry) ~events ~placement ~network ()
     re_fault_us = !fault_us;
   }
 
-let record_scenario ~registry ~classifier scenario =
+let stream_scenario ~registry ~classifier ~logger scenario =
   let ctx = Runtime.create_ctx registry in
-  let recorder, events = Logger.event_recorder () in
-  let rte = Rte.install_profiling ~loggers:[ recorder ] ~classifier ctx in
+  let rte = Rte.install_profiling ~loggers:[ logger ] ~classifier ctx in
   scenario ctx;
-  Rte.uninstall rte;
+  Rte.uninstall rte
+
+let record_scenario ~registry ~classifier scenario =
+  let recorder, events = Logger.event_recorder () in
+  stream_scenario ~registry ~classifier ~logger:recorder scenario;
   events ()
 
 let what_if ?faults ?retry ~events ~distribution ~network () =

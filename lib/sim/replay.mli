@@ -54,13 +54,24 @@ val replay :
     a model built from {!Coign_netsim.Fault.zero} — reproduces the
     fault-free estimate bit for bit. *)
 
+val stream_scenario :
+  registry:Coign_com.Runtime.registry ->
+  classifier:Coign_core.Classifier.t ->
+  logger:Coign_core.Logger.t ->
+  (Coign_com.Runtime.ctx -> unit) ->
+  unit
+(** Run a scenario once under the profiling RTE with [logger] attached
+    beside the profiling logger: every event reaches [logger] as it
+    happens, and nothing is kept. The recording advances [classifier]'s
+    state, as any profiling run does. *)
+
 val record_scenario :
   registry:Coign_com.Runtime.registry ->
   classifier:Coign_core.Classifier.t ->
   (Coign_com.Runtime.ctx -> unit) ->
   Coign_core.Event.t list
-(** Convenience: run a scenario once under the profiling RTE with an
-    event recorder attached and return the trace. *)
+(** {!stream_scenario} into an event recorder: the whole trace, in
+    order. *)
 
 val what_if :
   ?faults:Coign_netsim.Fault.t ->

@@ -11,8 +11,24 @@ val stddev : float array -> float
 
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]]; linear interpolation
-    between order statistics. Raises [Invalid_argument] on empty
-    input. *)
+    between order statistics. Sorts a copy, so [xs] is untouched.
+    Raises [Invalid_argument] on empty input and on a [p] outside
+    [\[0,100\]] or NaN. *)
+
+val select_percentiles : float array -> float array -> float array
+(** [select_percentiles xs ps] is [Array.map (percentile xs) ps]
+    without sorting, bit for bit (save that [-0.] and [0.], equal in
+    both orders, may trade places). Each percentile's floor and ceiling ranks
+    are put in place in [xs] by an in-place three-way quickselect
+    (median-of-three pivot, [Float.compare] order), each search
+    starting above the ranks already placed. Expected O(n) for a fixed
+    number of percentiles; a selection that keeps stalling sorts its
+    remaining range, so the worst case is O(n log n). [xs] is permuted:
+    afterwards every slot at a requested rank holds its order
+    statistic (so for [p = 100], [xs.(n - 1)] is the maximum), while
+    the rest of the order is unspecified. [ps] must be ascending;
+    raises [Invalid_argument] on empty [xs], on descending [ps], and
+    on any [p] outside [\[0,100\]] or NaN. *)
 
 val dot : float array -> float array -> float
 (** Dot product; arrays must have equal length. *)

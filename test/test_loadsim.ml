@@ -254,6 +254,58 @@ let prop_seed_determinism_across_pools =
       Parallel.shutdown p4;
       String.equal base again && String.equal base r2 && String.equal base r4)
 
+(* Three chunks, the last one short: every chunk boundary of the
+   in-place fill is crossed, with and without worker domains. *)
+let test_arrivals_multi_chunk_pools () =
+  let sessions = (2 * 16_384) + 7 in
+  let p2 = Parallel.create ~domains:1 () in
+  let p4 = Parallel.create ~domains:3 () in
+  let key (arrivals, class_of) = (Array.map bits arrivals, class_of) in
+  List.iter
+    (fun arrival ->
+      let go pool = key (Loadsim.gen_arrivals ?pool ~seed:99L ~sessions ~classes:7 arrival) in
+      let base = go None in
+      let name = Loadsim.arrival_to_string arrival in
+      Alcotest.(check bool) (name ^ ": 1 worker") true (base = go (Some p2));
+      Alcotest.(check bool) (name ^ ": 3 workers") true (base = go (Some p4)))
+    [
+      Loadsim.Poisson 40.;
+      Loadsim.Bursty { b_rate = 80.; b_on_ms = 50.; b_off_ms = 30. };
+      Loadsim.Diurnal { d_peak = 60.; d_period_s = 20. };
+    ];
+  Parallel.shutdown p2;
+  Parallel.shutdown p4
+
+(* The streamed compile sees the same events in the same order as a
+   recorded trace, so it must charge the same ops. An alternating
+   placement crosses the cut far more often than an analyzed one,
+   including non-remotable calls. *)
+let test_streamed_compile_matches_list () =
+  let placement c = if c land 1 = 0 then Constraints.Client else Constraints.Server in
+  List.iter
+    (fun (app : App.t) ->
+      let crossed = ref 0 in
+      List.iter
+        (fun (sc : App.scenario) ->
+          let fresh () = Classifier.create Classifier.Ifcb in
+          let registry = app.App.app_registry in
+          let listed =
+            Loadsim.ops_of_events ~placement
+              (Replay.record_scenario ~registry ~classifier:(fresh ()) sc.App.sc_run)
+          in
+          let streamed =
+            Loadsim.ops_of_scenario ~registry ~classifier:(fresh ()) ~placement sc.App.sc_run
+          in
+          Alcotest.(check (list (pair int int))) (sc.App.sc_id ^ " ops") listed streamed;
+          crossed := !crossed + List.length streamed;
+          let comm ops = (Loadsim.class_of_ops ~network ~scenario:sc.App.sc_id ops).cl_comm_us in
+          Alcotest.(check int64)
+            (sc.App.sc_id ^ " comm bits")
+            (bits (comm listed)) (bits (comm streamed)))
+        (App.non_bigone app);
+      Alcotest.(check bool) (app.App.app_name ^ " crosses the cut") true (!crossed > 0))
+    Suite.all
+
 let suite =
   [
     Alcotest.test_case "hand-computed queueing trace" `Quick test_hand_trace;
@@ -266,4 +318,8 @@ let suite =
     qtest prop_arrival_spec_roundtrip;
     qtest ~long:false prop_percentiles_and_availability;
     qtest ~long:false prop_seed_determinism_across_pools;
+    Alcotest.test_case "arrivals: multi-chunk fill across pools" `Quick
+      test_arrivals_multi_chunk_pools;
+    Alcotest.test_case "streamed class compile == list compile" `Slow
+      test_streamed_compile_matches_list;
   ]

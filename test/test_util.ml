@@ -133,6 +133,122 @@ let test_stats_percentile () =
   Alcotest.(check (float 1e-9)) "p100" 50. (Stats.percentile xs 100.);
   Alcotest.(check (float 1e-9)) "p25" 20. (Stats.percentile xs 25.)
 
+let test_stats_percentile_rejects_bad_p () =
+  let xs = [| 1.; 2.; 3. |] in
+  let rejects name f p =
+    match f p with
+    | _ -> Alcotest.failf "%s accepted p = %g" name p
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s names itself: %s" name msg)
+          true
+          (String.length msg > 6 && String.sub msg 0 6 = "Stats.")
+  in
+  List.iter
+    (fun p ->
+      rejects "percentile" (Stats.percentile xs) p;
+      rejects "select_percentiles" (fun p -> Stats.select_percentiles (Array.copy xs) [| p |]) p)
+    [ 150.; -10.; Float.nan; Float.infinity ];
+  Alcotest.check_raises "descending ranks"
+    (Invalid_argument "Stats.select_percentiles: percentiles must be ascending") (fun () ->
+      ignore (Stats.select_percentiles (Array.copy xs) [| 50.; 10. |]))
+
+(* The sort-based [Stats.percentile] is the oracle for selection: every
+   requested percentile must agree to the last bit, and the selection
+   must only permute its input. *)
+let select_agrees xs ps =
+  let ps = List.sort_uniq Float.compare ps in
+  let expect = List.map (fun p -> Int64.bits_of_float (Stats.percentile xs p)) ps in
+  let work = Array.copy xs in
+  let got = Stats.select_percentiles work (Array.of_list ps) in
+  let sorted a =
+    let a = Array.copy a in
+    Array.sort Float.compare a;
+    Array.map Int64.bits_of_float a
+  in
+  expect = List.map Int64.bits_of_float (Array.to_list got) && sorted xs = sorted work
+
+let gen_select_input =
+  QCheck.Gen.(
+    let sized n = int_range 1 n in
+    let shaped =
+      oneof
+        [
+          (* heavy duplicates *)
+          map (Array.map float_of_int) (array_size (sized 300) (int_range 0 4));
+          (* constant *)
+          map2 (fun n v -> Array.make n (float_of_int v)) (sized 300) (int_range (-3) 3);
+          (* sorted and reverse-sorted *)
+          map
+            (fun a ->
+              Array.sort Float.compare a;
+              a)
+            (array_size (sized 300) (float_range (-1e3) 1e3));
+          map
+            (fun a ->
+              Array.sort (fun x y -> Float.compare y x) a;
+              a)
+            (array_size (sized 300) (float_range (-1e3) 1e3));
+          (* the smallest inputs *)
+          array_size (int_range 1 2) (float_range 0. 10.);
+          array_size (sized 1000) (float_range 0. 1e6);
+        ]
+    in
+    pair shaped (list_size (int_range 0 4) (float_range 0. 100.)))
+
+let prop_select_matches_sort =
+  QCheck.Test.make ~name:"select_percentiles == sorted percentile, bit for bit" ~count:500
+    (QCheck.make
+       ~print:(fun (xs, ps) ->
+         Printf.sprintf "n=%d xs=[%s] ps=[%s]" (Array.length xs)
+           (String.concat ";" (List.map string_of_float (Array.to_list xs)))
+           (String.concat ";" (List.map string_of_float ps)))
+       gen_select_input)
+    (fun (xs, ps) -> select_agrees xs ([ 0.; 50.; 95.; 99.; 100. ] @ ps))
+
+(* A median-of-three killer for [Stats.select_percentiles]: every
+   round finds the two smallest values of its range at the two ends, so
+   the pivot (their median with the middle slot) is the second smallest
+   and the partition sheds just two elements. For a range
+   [s1; b1; b2; ...; br; s2] that partition leaves [b3; ...; br; b2; b1]
+   as the next range, so a deque of original positions replays the
+   rounds in O(n) and hands out values in the order the ends are shed.
+   Without the unproductive-round cap, selecting the median of this
+   input takes about n/4 linear rounds. *)
+let median_of_three_killer n =
+  let q = Array.make (2 * n) 0 in
+  for i = 0 to n - 1 do
+    q.(i) <- i
+  done;
+  let front = ref 0 and back = ref n in
+  let v = Array.make n 0. and next = ref 0. in
+  let give i =
+    v.(i) <- !next;
+    next := !next +. 1.
+  in
+  while !back - !front >= 4 do
+    let s1 = q.(!front) and b1 = q.(!front + 1) and b2 = q.(!front + 2) in
+    front := !front + 3;
+    decr back;
+    give s1;
+    give q.(!back);
+    q.(!back) <- b2;
+    q.(!back + 1) <- b1;
+    back := !back + 2
+  done;
+  for j = !front to !back - 1 do
+    give q.(j)
+  done;
+  v
+
+let test_select_adversarial () =
+  let xs = median_of_three_killer 100_000 in
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check bool)
+    "killer input agrees with the oracle" true
+    (select_agrees xs [ 0.; 50.; 95.; 99.; 100. ]);
+  Alcotest.(check bool) "killer input finishes quickly" true (Unix.gettimeofday () -. t0 < 10.)
+
 let test_stats_correlation_basics () =
   Alcotest.(check (float 1e-9)) "identical" 1. (Stats.cosine_correlation [| 1.; 2. |] [| 2.; 4. |]);
   Alcotest.(check (float 1e-9)) "orthogonal" 0. (Stats.cosine_correlation [| 1.; 0. |] [| 0.; 1. |]);
@@ -278,6 +394,10 @@ let suite =
     qtest prop_bucket_merge_totals;
     Alcotest.test_case "stats mean/var" `Quick test_stats_mean_var;
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
+    Alcotest.test_case "stats percentile rejects bad p" `Quick
+      test_stats_percentile_rejects_bad_p;
+    qtest prop_select_matches_sort;
+    Alcotest.test_case "stats select adversarial input" `Quick test_select_adversarial;
     Alcotest.test_case "stats correlation" `Quick test_stats_correlation_basics;
     Alcotest.test_case "stats linear fit" `Quick test_stats_linear_fit;
     Alcotest.test_case "stats ratio error" `Quick test_stats_ratio_error;
