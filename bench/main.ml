@@ -29,12 +29,6 @@ let json_sections : (string * string) list ref = ref []
 
 let add_json name fragment = json_sections := (name, fragment) :: !json_sections
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 let section_header title paper =
   Printf.printf "\n%s\n%s\n(paper reference: %s)\n" title (String.make (String.length title) '=') paper
 
@@ -217,7 +211,7 @@ let table4 () =
                Printf.sprintf
                  "{\"scenario\": \"%s\", \"default_comm_us\": %.17g, \"coign_comm_us\": \
                   %.17g, \"savings\": %.17g}"
-                 (json_escape r.Experiment.row_id) r.Experiment.default_comm_us
+                 (Jsonu.escape r.Experiment.row_id) r.Experiment.default_comm_us
                  r.Experiment.coign_comm_us r.Experiment.savings)
              (Lazy.force sweep))));
   note
@@ -255,7 +249,7 @@ let table5 () =
                Printf.sprintf
                  "{\"scenario\": \"%s\", \"predicted_total_us\": %.17g, \
                   \"measured_total_us\": %.17g, \"prediction_error\": %.17g}"
-                 (json_escape r.Experiment.row_id) r.Experiment.predicted_total_us
+                 (Jsonu.escape r.Experiment.row_id) r.Experiment.predicted_total_us
                  r.Experiment.measured_total_us r.Experiment.prediction_error)
              (Lazy.force sweep))));
   note "Worst absolute error: %.1f%% (paper: none above 8%%).\n" (!worst *. 100.)
@@ -407,7 +401,7 @@ let session_bench () =
        "{\"app\": \"photodraw\", \"scenario\": \"%s\", \"points\": %d, \
         \"classifications\": %d, \"fresh_s\": %.17g, \"session_s\": %.17g, \"speedup\": \
         %.17g, \"identical\": %b}"
-       (json_escape sc.App.sc_id) points stats.Adps.ps_classifications fresh_s session_s
+       (Jsonu.escape sc.App.sc_id) points stats.Adps.ps_classifications fresh_s session_s
        ratio identical);
   if not identical then exit 3;
   note
@@ -568,7 +562,7 @@ let micro () =
           (List.map
              (fun (name, est) ->
                Printf.sprintf "{\"kernel\": \"%s\", \"ns_per_run\": %.17g}"
-                 (json_escape name) est)
+                 (Jsonu.escape name) est)
              (List.sort compare !rows))));
   note
     "Expected shape: the exact lift-to-front algorithm is Theta(V^3) and trails\n\
@@ -772,11 +766,14 @@ let faultsim_bench () =
   let net = Coign_netsim.Net_profiler.profile (Prng.create 0xC01L) network in
   let image, _dist = Adps.analyze ~image ~net () in
   let grid =
-    Faultsim.run ~seed:0x5EEDL ~drop_rates:[ 0.; 0.05; 0.1 ] ~partitions_us:[ 0.; 50_000. ]
+    Fault_grid.run ~seed:0x5EEDL ~engines:[ Fault_grid.Retry ]
+      ~faults:
+        (Fault_grid.drop_partition_faults ~drop_rates:[ 0.; 0.05; 0.1 ]
+           ~partitions_us:[ 0.; 50_000. ] ~start_us:0.)
       ~image ~registry:app.App.app_registry ~network sc.App.sc_run
   in
-  Format.printf "@[<v>%a@]@?" Faultsim.pp_text grid;
-  add_json "faultsim" (Faultsim.to_json grid);
+  Format.printf "@[<v>%a@]@?" Fault_grid.pp_faultsim grid;
+  add_json "faultsim" (Fault_grid.faultsim_json grid);
   note
     "Expected shape: the zero-fault row reproduces the clean distributed run\n\
      bit for bit; raising the drop rate buys retries and fault time but the\n\
@@ -846,7 +843,7 @@ let obs_bench () =
        "{\"app\": \"octarine\", \"scenario\": \"%s\", \"calls\": %d, \"spans\": %d, \
         \"bare_s\": %.17g, \"null_obs_s\": %.17g, \"collector_obs_s\": %.17g, \
         \"overhead_null\": %.17g, \"overhead_collector\": %.17g, \"identical\": %b}"
-       (json_escape sc.App.sc_id) bare_stats.Adps.ps_calls spans bare_s null_s collect_s
+       (Jsonu.escape sc.App.sc_id) bare_stats.Adps.ps_calls spans bare_s null_s collect_s
        overhead_null overhead_collect identical);
   if not identical then exit 3;
   note
@@ -947,7 +944,7 @@ let resilience_bench () =
                   \"identical\": %b, \"overhead\": %.17g, \"availability_retry\": %.17g, \
                   \"availability_resilient\": %.17g, \"completed_retry\": %b, \
                   \"completed_resilient\": %b, \"failovers\": %d}"
-                 (json_escape name) (json_escape sc_id) rungs calls id overhead ab ar db dr
+                 (Jsonu.escape name) (Jsonu.escape sc_id) rungs calls id overhead ab ar db dr
                  fo)
              rows)));
   if not all_identical then exit 3;
@@ -1042,7 +1039,7 @@ let verify_bench () =
                   \"transitions\": %d, \"dedup_hits\": %d, \"depth\": %d, \
                   \"complete\": %b, \"violations\": %d, \"reduction\": %.17g, \
                   \"seconds\": %.17g, \"states_per_s\": %.17g}"
-                 (json_escape name) (json_escape sc_id) model.V.Model.m_classifications
+                 (Jsonu.escape name) (Jsonu.escape sc_id) model.V.Model.m_classifications
                  (V.Model.group_count model)
                  (Array.length model.V.Model.m_edges)
                  (Array.length model.V.Model.m_rung_names)
@@ -1161,7 +1158,7 @@ let load_bench () =
                %.17g, \"p95_us\": %.17g, \"p99_us\": %.17g, \"throughput_per_s\": \
                %.17g, \"availability\": %.17g, \"comm_us\": %.17g, \"link_util\": \
                %.17g, \"identical\": %b}"
-              (json_escape name) rate r.Loadsim.r_sessions r.Loadsim.r_p50_us
+              (Jsonu.escape name) rate r.Loadsim.r_sessions r.Loadsim.r_p50_us
               r.Loadsim.r_p95_us r.Loadsim.r_p99_us r.Loadsim.r_throughput_per_s
               r.Loadsim.r_availability comm_us r.Loadsim.r_link_util identical
             :: !rows)
@@ -1338,6 +1335,9 @@ let fleet_bench () =
   let apps =
     [ (Octarine.app, "o_oldwp0"); (Photodraw.app, "p_oldmsr"); (Benefits.app, "b_vueone") ]
   in
+  let pools = 3 in
+  let faults = Fault_grid.fleet_faults ~start_us:50_000. ~length_us:500_000. in
+  let crash = List.find (fun f -> f.Fault_grid.f_scope = Fault_grid.Host0) faults in
   let grids =
     List.map
       (fun (app, sc_id) ->
@@ -1345,9 +1345,21 @@ let fleet_bench () =
         let registry = app.App.app_registry in
         let image = Adps.instrument app.App.app_image in
         let image, _ = Adps.profile ~image ~registry sc.App.sc_run in
-        let grid = Fleetsim.run ~seed:0x5EEDL ~image ~registry ~network:netw sc.App.sc_run in
+        let grid =
+          Fault_grid.run ~seed:0x5EEDL ~engines:(Fault_grid.fleet_engines ~pools) ~faults ~image
+            ~registry ~network:netw sc.App.sc_run
+        in
         (app.App.app_name, sc_id, grid))
       apps
+  in
+  (* The single-host crash cells of the replicated pools: the ladder's
+     and the pool's served-remote ratios and the pool's counters. *)
+  let crash_cells grid =
+    let open Fault_grid in
+    let ladder = (outcome grid Resilience crash).o_stats in
+    List.init (pools - 1) (fun i ->
+        let o = outcome grid (Pool (i + 2)) crash in
+        (i + 2, served grid ladder, served grid o.o_stats, Option.get o.o_pool))
   in
   let t =
     Tablefmt.create
@@ -1360,18 +1372,15 @@ let fleet_bench () =
   List.iter
     (fun (name, sc_id, grid) ->
       List.iter
-        (fun c ->
-          if c.Fleetsim.fr_regime = Fleetsim.Crash && c.Fleetsim.fr_pool > 1 then
-            Tablefmt.add_row t
-              [
-                Printf.sprintf "%s %s" name sc_id; string_of_int c.Fleetsim.fr_pool;
-                Tablefmt.cell_float ~decimals:3 (Fleetsim.served grid c.Fleetsim.fr_baseline);
-                Tablefmt.cell_float ~decimals:3 (Fleetsim.served grid c.Fleetsim.fr_fleet);
-                string_of_int c.Fleetsim.fr_fleet_stats.Rte.fs_promotions;
-                string_of_int c.Fleetsim.fr_fleet_stats.Rte.fs_splits;
-                string_of_int c.Fleetsim.fr_fleet_stats.Rte.fs_resizes;
-              ])
-        grid.Fleetsim.fg_cells)
+        (fun (k, serve_b, serve_f, fs) ->
+          Tablefmt.add_row t
+            [
+              Printf.sprintf "%s %s" name sc_id; string_of_int k;
+              Tablefmt.cell_float ~decimals:3 serve_b; Tablefmt.cell_float ~decimals:3 serve_f;
+              string_of_int fs.Rte.fs_promotions; string_of_int fs.Rte.fs_splits;
+              string_of_int fs.Rte.fs_resizes;
+            ])
+        (crash_cells grid))
     grids;
   print_string (Tablefmt.render t);
   (* Gate 1: every pool-of-one cell is bit-identical to the two-host
@@ -1379,9 +1388,8 @@ let fleet_bench () =
   let all_identical =
     List.for_all
       (fun (_, _, grid) ->
-        List.for_all
-          (fun c -> c.Fleetsim.fr_pool <> 1 || c.Fleetsim.fr_identical = Some true)
-          grid.Fleetsim.fg_cells)
+        let stats e f = (Fault_grid.outcome grid e f).Fault_grid.o_stats in
+        List.for_all (fun f -> stats (Fault_grid.Pool 1) f = stats Fault_grid.Resilience f) faults)
       grids
   in
   (* Gate 2: under the single-host crash, every replicated pool serves
@@ -1391,17 +1399,7 @@ let fleet_bench () =
     List.length
       (List.filter
          (fun (_, _, grid) ->
-           let crash =
-             List.filter
-               (fun c -> c.Fleetsim.fr_regime = Fleetsim.Crash && c.Fleetsim.fr_pool > 1)
-               grid.Fleetsim.fg_cells
-           in
-           crash <> []
-           && List.for_all
-                (fun c ->
-                  Fleetsim.served grid c.Fleetsim.fr_fleet
-                  > Fleetsim.served grid c.Fleetsim.fr_baseline)
-                crash)
+           List.for_all (fun (_, serve_b, serve_f, _) -> serve_f > serve_b) (crash_cells grid))
          grids)
   in
   Printf.printf
@@ -1418,7 +1416,7 @@ let fleet_bench () =
           (List.map
              (fun (name, sc_id, grid) ->
                Printf.sprintf "{\"app\": \"%s\", \"scenario\": \"%s\", \"grid\": %s}"
-                 (json_escape name) (json_escape sc_id) (Fleetsim.to_json grid))
+                 (Jsonu.escape name) (Jsonu.escape sc_id) (Fault_grid.fleet_json grid))
              grids)));
   if not all_identical then exit 3;
   if improved < 2 then exit 3;
@@ -1470,12 +1468,12 @@ let () =
   | Some path ->
       let oc = open_out path in
       Printf.fprintf oc "{\n  \"harness\": \"coign-bench\",\n  \"network\": \"%s\",\n"
-        (json_escape network.Coign_netsim.Network.net_name);
+        (Jsonu.escape network.Coign_netsim.Network.net_name);
       Printf.fprintf oc "  \"sections\": {\n%s\n  }\n}\n"
         (String.concat ",\n"
            (List.rev_map
               (fun (name, fragment) ->
-                Printf.sprintf "    \"%s\": %s" (json_escape name) fragment)
+                Printf.sprintf "    \"%s\": %s" (Jsonu.escape name) fragment)
               !json_sections));
       close_out oc;
       Printf.printf "\nwrote machine-readable results to %s\n" path

@@ -20,20 +20,51 @@ open Coign_image
 open Coign_core
 open Coign_apps
 
+(* Report a user-facing error and exit 1. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 1)
+    fmt
+
+let load_image path =
+  try Binary_image.load path
+  with Codec.Malformed why -> fail "IMAGE: malformed image (%s)" why
+
+(* The typed failures of the analysis and simulation layers, reported
+   as errors rather than escaping as uncaught exceptions. *)
+let guard f =
+  try f () with
+  | Invalid_argument msg | Fallback.Invalid msg -> fail "%s" msg
+  | Fallback.Decode_error e -> fail "%s" (Fallback.decode_error_message e)
+  | Lint.Rejected diags ->
+      Format.eprintf "%a" Lint.pp_text diags;
+      fail "distribution rejected by the static validator"
+
+let check_jobs jobs = if jobs < 0 then fail "--jobs must be >= 0"
+
+(* --jobs N: 1 runs sequentially, 0 on the process-wide pool, N on a
+   pool of N domains owned by [f]'s extent. *)
+let with_jobs jobs f =
+  match jobs with
+  | 1 -> f None
+  | 0 -> f (Some (Parallel.default ()))
+  | n ->
+      let pool = Parallel.create ~domains:(n - 1) () in
+      Fun.protect ~finally:(fun () -> Parallel.shutdown pool) (fun () -> f (Some pool))
+
 let app_of_image (img : Binary_image.t) =
   try Suite.find_app img.Binary_image.img_name
   with Not_found ->
-    Printf.eprintf "error: image %S does not name a built-in application (%s)\n"
-      img.Binary_image.img_name
-      (String.concat ", " (List.map (fun a -> a.App.app_name) Suite.all));
-    exit 1
+    fail "image %S does not name a built-in application (%s)" img.Binary_image.img_name
+      (String.concat ", " (List.map (fun a -> a.App.app_name) Suite.all))
 
 let scenario_of app id =
   try App.scenario app id
   with Not_found ->
-    Printf.eprintf "error: application %s has no scenario %S (has: %s)\n" app.App.app_name id
-      (String.concat ", " (List.map (fun s -> s.App.sc_id) app.App.app_scenarios));
-    exit 1
+    fail "application %s has no scenario %S (has: %s)" app.App.app_name id
+      (String.concat ", " (List.map (fun s -> s.App.sc_id) app.App.app_scenarios))
 
 let network_names =
   [
@@ -96,9 +127,7 @@ let observed_run ?loggers ?tracer ?metrics image scenario_id network =
   let config =
     match image.Binary_image.config with
     | Some c -> c
-    | None ->
-        Printf.eprintf "error: image has no configuration record (not instrumented)\n";
-        exit 1
+    | None -> fail "image has no configuration record (not instrumented)"
   in
   match Config_record.mode config with
   | Config_record.Distributed ->
@@ -111,9 +140,7 @@ let observed_run ?loggers ?tracer ?metrics image scenario_id network =
         (Adps.profile_results ?loggers ?tracer ?metrics ~image ~registry:app.App.app_registry
            sc.App.sc_run);
       "profiling"
-  | Config_record.Off ->
-      Printf.eprintf "error: image's runtime mode is off (instrument or analyze it first)\n";
-      exit 1
+  | Config_record.Off -> fail "image's runtime mode is off (instrument or analyze it first)"
 
 (* instrument ------------------------------------------------------- *)
 
@@ -139,14 +166,9 @@ let instrument_cmd =
   let run app_name classifier depth output =
     (match Classifier.kind_of_name classifier with
     | Some _ -> ()
-    | None ->
-        Printf.eprintf "error: unknown classifier %S\n" classifier;
-        exit 1);
+    | None -> fail "unknown classifier %S" classifier);
     let app =
-      try Suite.find_app app_name
-      with Not_found ->
-        Printf.eprintf "error: unknown application %S\n" app_name;
-        exit 1
+      try Suite.find_app app_name with Not_found -> fail "unknown application %S" app_name
     in
     let image = Adps.instrument ~classifier ~stack_depth:depth app.App.app_image in
     Binary_image.save image output;
@@ -171,7 +193,7 @@ let profile_cmd =
              $(b,coign combine)).")
   in
   let run image_path scenario_id log_file output =
-    let image = Binary_image.load image_path in
+    let image = load_image image_path in
     let app = app_of_image image in
     let sc = scenario_of app scenario_id in
     let image, stats, rte =
@@ -206,7 +228,7 @@ let combine_cmd =
       & info [] ~docv:"LOG" ~doc:"Profile log files written by $(b,coign profile --log).")
   in
   let run image_path logs output =
-    let image = Binary_image.load image_path in
+    let image = load_image image_path in
     let combined = Profile_log.combine_all (List.map Profile_log.load logs) in
     let image = Profile_log.into_image combined image in
     Binary_image.save image output;
@@ -294,57 +316,28 @@ let verify_cmd =
              ladder.")
   in
   let run image_path network depth jobs pool_size json strict =
-    if depth < 1 then begin
-      Printf.eprintf "error: --depth must be >= 1\n";
-      exit 1
-    end;
-    if pool_size < 1 || pool_size > V.Model.max_pool_size then begin
-      Printf.eprintf "error: --pool must be in [1, %d]\n" V.Model.max_pool_size;
-      exit 1
-    end;
-    if jobs < 0 then begin
-      Printf.eprintf "error: --jobs must be >= 0\n";
-      exit 1
-    end;
+    if depth < 1 then fail "--depth must be >= 1";
+    if pool_size < 1 || pool_size > V.Model.max_pool_size then
+      fail "--pool must be in [1, %d]" V.Model.max_pool_size;
+    check_jobs jobs;
     let image = Binary_image.load image_path in
     let classifier, icc =
       match Adps.load_profile image with
       | Some p -> p
-      | None ->
-          Printf.eprintf "error: image holds no profile — run coign profile first\n";
-          exit 1
+      | None -> fail "image holds no profile — run coign profile first"
     in
-    let session =
-      try Adps.analysis_session image
-      with Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
-    in
+    let session = guard (fun () -> Adps.analysis_session image) in
     let net = Net_profiler.exact network in
-    let pool, owned =
-      match jobs with
-      | 1 -> (None, None)
-      | 0 -> (Some (Parallel.default ()), None)
-      | n ->
-          let p = Parallel.create ~domains:(n - 1) () in
-          (Some p, Some p)
-    in
-    let base_ladder = Adps.fallback_ladder ?pool ~image ~net () in
     (* With --pool > 1, the checked ladder is the pool-elastic one:
        every pool rung contributes its underlying two-way cut, and the
        model carries each rung's host count so the explorer can
        interleave promotions and resizes. At --pool 1 this is exactly
        the base ladder. *)
-    let ladder, pool_sizes =
+    let checked_ladder base_ladder =
       if pool_size = 1 then (base_ladder, None)
       else begin
         let pl =
-          try
-            Fallback.pool_ladder ~hosts:pool_size session
-              ~net:(Net_profiler.exact network) base_ladder
-          with Invalid_argument msg | Fallback.Invalid msg ->
-            Printf.eprintf "error: %s\n" msg;
-            exit 1
+          guard (fun () -> Fallback.pool_ladder ~hosts:pool_size session ~net base_ladder)
         in
         let k = Fallback.pool_rung_count pl in
         let rungs =
@@ -364,9 +357,12 @@ let verify_cmd =
       end
     in
     let truth = Fallback.migration_safety session in
-    let model = V.Model.build ?pool_sizes ~classifier ~icc ~ladder ~truth () in
-    let result = V.Explore.run ?pool ~depth model in
-    Option.iter Parallel.shutdown owned;
+    let ladder, model, result =
+      with_jobs jobs (fun pool ->
+          let ladder, pool_sizes = checked_ladder (Adps.fallback_ladder ?pool ~image ~net ()) in
+          let model = V.Model.build ?pool_sizes ~classifier ~icc ~ladder ~truth () in
+          (ladder, model, V.Explore.run ?pool ~depth model))
+    in
     (* I2: every rung honours the static constraints.  The terminal
        all-client rung waives location pins by design — a Server pin
        presumes a reachable server. *)
@@ -495,7 +491,7 @@ let verify_cmd =
 
 let analyze_cmd =
   let run image_path network self_profile output =
-    let image = Binary_image.load image_path in
+    let image = load_image image_path in
     let profiler = if self_profile then Some (Coign_obs.Profiler.create ()) else None in
     let net = Net_profiler.profile (Prng.create 0xC01L) network in
     Printf.printf "network profile: %s\n" (Format.asprintf "%a" Net_profiler.pp net);
@@ -507,13 +503,7 @@ let analyze_cmd =
      with
     | [] -> ()
     | warnings -> Format.printf "%a" Lint.pp_text warnings);
-    let image, dist =
-      try Adps.analyze ?profiler ~image ~net ()
-      with Lint.Rejected diags ->
-        Format.eprintf "%a" Lint.pp_text diags;
-        Printf.eprintf "error: distribution rejected by the static validator\n";
-        exit 1
-    in
+    let image, dist = guard (fun () -> Adps.analyze ?profiler ~image ~net ()) in
     Binary_image.save image output;
     let classifier, _ = Option.get (Adps.load_distribution image) in
     Printf.printf "distribution: %d of %d classifications on the server (cut %.3f s)\n"
@@ -568,47 +558,23 @@ let sweep_cmd =
              per core. The output is identical either way.")
   in
   let run image_path from_net to_net points json jobs self_profile =
-    if points < 2 then begin
-      Printf.eprintf "error: --points must be at least 2\n";
-      exit 1
-    end;
-    if jobs < 0 then begin
-      Printf.eprintf "error: --jobs must be >= 0\n";
-      exit 1
-    end;
-    let image = Binary_image.load image_path in
+    if points < 2 then fail "--points must be at least 2";
+    check_jobs jobs;
+    let image = load_image image_path in
     let profiler = if self_profile then Some (Coign_obs.Profiler.create ()) else None in
-    let session =
-      try Adps.analysis_session ?profiler image
-      with Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
-    in
+    let session = guard (fun () -> Adps.analysis_session ?profiler image) in
     let networks = Network.geometric_sweep ~points ~from_net ~to_net () in
     (* One session, many networks: stage 1 of the analysis ran once in
        analysis_session; each point below is a reprice+recut. *)
-    let pool, owned =
-      match jobs with
-      | 1 -> (None, None)
-      | 0 -> (Some (Parallel.default ()), None)
-      | n ->
-          let p = Parallel.create ~domains:(n - 1) () in
-          (Some p, Some p)
+    let rows =
+      with_jobs jobs (fun pool -> Coign_sim.Experiment.sweep ?pool ?profiler ~session networks)
     in
-    let rows = Coign_sim.Experiment.sweep ?pool ?profiler ~session networks in
-    Option.iter Parallel.shutdown owned;
     if json then begin
-      let escape s =
-        String.concat ""
-          (List.map
-             (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-             (List.init (String.length s) (String.get s)))
-      in
       let row (r : Coign_sim.Experiment.sweep_point) =
         Printf.sprintf
           "{\"network\": \"%s\", \"latency_us\": %g, \"bandwidth_mbps\": %g, \"proc_us\": \
            %g, \"server_classifications\": %d, \"cut_ns\": %d, \"predicted_comm_us\": %.17g}"
-          (escape r.Coign_sim.Experiment.sw_network.Network.net_name)
+          (Jsonu.escape r.Coign_sim.Experiment.sw_network.Network.net_name)
           r.Coign_sim.Experiment.sw_network.Network.latency_us
           r.Coign_sim.Experiment.sw_network.Network.bandwidth_mbps
           r.Coign_sim.Experiment.sw_network.Network.proc_us
@@ -648,44 +614,39 @@ let sweep_cmd =
           optionally across domains.")
     term
 
-(* faultsim --------------------------------------------------------- *)
+(* fault grids ------------------------------------------------------ *)
 
-let faultsim_cmd =
-  let drops_arg =
-    Arg.(
-      value
-      & opt (list float) Coign_sim.Faultsim.default_drop_rates
-      & info [ "drops" ] ~docv:"RATES"
-          ~doc:"Comma-separated per-message drop probabilities, each in [0, 1].")
-  in
-  let partitions_arg =
-    Arg.(
-      value
-      & opt (list float) [ 0.; 50. ]
-      & info [ "partitions-ms" ] ~docv:"MS"
-          ~doc:"Comma-separated partition-window lengths in milliseconds (0 = no window).")
-  in
-  let partition_start_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "partition-start-ms" ] ~docv:"MS"
-          ~doc:"Where each partition window opens on the run's virtual clock.")
-  in
-  let seed_arg =
+(* faultsim, resilience and fleet are presets of one driver,
+   Coign_sim.Fault_grid: each picks its engines and faults and a
+   printer; the options, validation and error mapping below are
+   shared. *)
+
+module Grid = Coign_sim.Fault_grid
+
+type grid_opts = {
+  go_seed : int;
+  go_jitter : float;
+  go_json : bool;
+  go_jobs : int;
+  go_self_profile : bool;
+}
+
+let grid_opts =
+  let seed =
     Arg.(
       value & opt int 0x5EED
       & info [ "seed" ] ~docv:"N"
-          ~doc:"Master seed; jitter, backoff, and fault verdicts each derive their own stream.")
+          ~doc:
+            "Master seed; jitter, backoff, fault verdicts, and each pool host's fault \
+             stream derive their own substream.")
   in
-  let jitter_arg =
+  let jitter =
     Arg.(
       value & opt float 0.
       & info [ "jitter" ] ~docv:"R" ~doc:"Relative stddev of per-message time noise.")
   in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the grid as a JSON array.")
-  in
-  let jobs_arg =
+  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the grid as a JSON array.") in
+  let jobs =
     Arg.(
       value & opt int 0
       & info [ "jobs" ] ~docv:"N"
@@ -693,52 +654,105 @@ let faultsim_cmd =
             "Domains running grid cells concurrently: 1 = sequential, 0 (default) = one per \
              core. The output is identical either way.")
   in
-  let run image_path scenario_id network drops partitions_ms start_ms seed jitter json jobs
-      self_profile =
-    if List.exists (fun d -> d < 0. || d > 1.) drops then begin
-      Printf.eprintf "error: --drops rates must be in [0, 1]\n";
-      exit 1
-    end;
-    if List.exists (fun p -> p < 0.) partitions_ms || start_ms < 0. then begin
-      Printf.eprintf "error: partition lengths and start must be >= 0\n";
-      exit 1
-    end;
-    if jobs < 0 then begin
-      Printf.eprintf "error: --jobs must be >= 0\n";
-      exit 1
-    end;
-    let image = Binary_image.load image_path in
-    let app = app_of_image image in
-    let sc = scenario_of app scenario_id in
-    let pool, owned =
-      match jobs with
-      | 1 -> (None, None)
-      | 0 -> (Some (Parallel.default ()), None)
-      | n ->
-          let p = Parallel.create ~domains:(n - 1) () in
-          (Some p, Some p)
-    in
-    let profiler = if self_profile then Some (Coign_obs.Profiler.create ()) else None in
-    let grid =
-      try
-        Coign_sim.Faultsim.run ?pool ?profiler ~seed:(Int64.of_int seed) ~jitter
-          ~drop_rates:drops
-          ~partitions_us:(List.map (fun ms -> ms *. 1e3) partitions_ms)
-          ~partition_start_us:(start_ms *. 1e3) ~image ~registry:app.App.app_registry
-          ~network sc.App.sc_run
-      with Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
-    in
-    Option.iter Parallel.shutdown owned;
-    if json then print_string (Coign_sim.Faultsim.to_json grid)
-    else Format.printf "@[<v>%a@]@?" Coign_sim.Faultsim.pp_text grid;
-    Option.iter print_self_profile profiler
+  let make go_seed go_jitter go_json go_jobs go_self_profile =
+    { go_seed; go_jitter; go_json; go_jobs; go_self_profile }
+  in
+  Term.(const make $ seed $ jitter $ json $ jobs $ self_profile_arg)
+
+(* The breaker policy of the ladder engines, validated when the grid
+   runs. *)
+let health_opts =
+  let cooloff =
+    Arg.(
+      value
+      & opt float (Health.default_policy.Health.hp_cooloff_us /. 1e3)
+      & info [ "cooloff-ms" ] ~docv:"MS"
+          ~doc:"Initial circuit-breaker cooloff in milliseconds (virtual clock).")
+  in
+  let threshold =
+    Arg.(
+      value
+      & opt int Health.default_policy.Health.hp_failure_threshold
+      & info [ "failure-threshold" ] ~docv:"N"
+          ~doc:"Consecutive link failures that trip a host's breaker.")
+  in
+  let make cooloff_ms threshold () =
+    if not (cooloff_ms > 0.) || threshold < 1 then
+      fail "--cooloff-ms must be > 0 and --failure-threshold >= 1";
+    {
+      Health.default_policy with
+      Health.hp_failure_threshold = threshold;
+      hp_cooloff_us = cooloff_ms *. 1e3;
+    }
+  in
+  Term.(const make $ cooloff $ threshold)
+
+let drops_arg defaults =
+  Arg.(
+    value
+    & opt (list float) defaults
+    & info [ "drops" ] ~docv:"RATES"
+        ~doc:"Comma-separated per-message drop probabilities, each in [0, 1].")
+
+let partitions_arg defaults =
+  Arg.(
+    value
+    & opt (list float) defaults
+    & info [ "partitions-ms" ] ~docv:"MS"
+        ~doc:"Comma-separated partition-window lengths in milliseconds (0 = no window).")
+
+let partition_start_arg =
+  Arg.(
+    value & opt float 0.
+    & info [ "partition-start-ms" ] ~docv:"MS"
+        ~doc:"Where each partition window opens on the run's virtual clock.")
+
+(* The faultsim / resilience fault axis, validated. *)
+let drop_partition_faults drops partitions_ms start_ms =
+  if List.exists (fun d -> not (d >= 0. && d <= 1.)) drops then
+    fail "--drops rates must be in [0, 1]";
+  let windows_ms = start_ms :: partitions_ms in
+  if not (List.for_all Float.is_finite windows_ms) then
+    fail "partition lengths and start must be finite";
+  if List.exists (fun ms -> ms < 0.) windows_ms then
+    fail "partition lengths and start must be >= 0";
+  Grid.drop_partition_faults ~drop_rates:drops
+    ~partitions_us:(List.map (fun ms -> ms *. 1e3) partitions_ms)
+    ~start_us:(start_ms *. 1e3)
+
+(* Run one preset: [faults] and [health] validate their own options
+   (in that order, around --jobs) before the image is read. *)
+let run_grid ~engines ~faults ?health ?replicas ~pp ~to_json opts image_path scenario_id
+    network =
+  let faults = faults () in
+  check_jobs opts.go_jobs;
+  let health = Option.map (fun h -> h ()) health in
+  let image = load_image image_path in
+  let app = app_of_image image in
+  let sc = scenario_of app scenario_id in
+  let profiler = if opts.go_self_profile then Some (Coign_obs.Profiler.create ()) else None in
+  let grid =
+    guard (fun () ->
+        with_jobs opts.go_jobs (fun pool ->
+            Grid.run ?pool ?profiler ~seed:(Int64.of_int opts.go_seed) ~jitter:opts.go_jitter
+              ?health ?replicas ~engines ~faults ~image ~registry:app.App.app_registry
+              ~network sc.App.sc_run))
+  in
+  if opts.go_json then print_string (to_json grid)
+  else Format.printf "@[<v>%a@]@?" pp grid;
+  Option.iter print_self_profile profiler
+
+let faultsim_cmd =
+  let run image_path scenario_id network drops partitions_ms start_ms opts =
+    run_grid ~engines:[ Grid.Retry ]
+      ~faults:(fun () -> drop_partition_faults drops partitions_ms start_ms)
+      ~pp:Grid.pp_faultsim ~to_json:Grid.faultsim_json opts image_path scenario_id network
   in
   let term =
     Term.(
-      const run $ image_arg $ scenario_arg $ network_arg $ drops_arg $ partitions_arg
-      $ partition_start_arg $ seed_arg $ jitter_arg $ json_arg $ jobs_arg $ self_profile_arg)
+      const run $ image_arg $ scenario_arg $ network_arg
+      $ drops_arg [ 0.; 0.01; 0.05; 0.1 ]
+      $ partitions_arg [ 0.; 50. ] $ partition_start_arg $ grid_opts)
   in
   Cmd.v
     (Cmd.info "faultsim"
@@ -749,128 +763,18 @@ let faultsim_cmd =
           seed fixes the whole schedule, across any number of jobs.")
     term
 
-(* resilience ------------------------------------------------------- *)
-
 let resilience_cmd =
-  let drops_arg =
-    Arg.(
-      value
-      & opt (list float) Coign_sim.Resilsim.default_drop_rates
-      & info [ "drops" ] ~docv:"RATES"
-          ~doc:"Comma-separated per-message drop probabilities, each in [0, 1].")
-  in
-  let partitions_arg =
-    Arg.(
-      value
-      & opt (list float) [ 0.; 200. ]
-      & info [ "partitions-ms" ] ~docv:"MS"
-          ~doc:"Comma-separated partition-window lengths in milliseconds (0 = no window).")
-  in
-  let partition_start_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "partition-start-ms" ] ~docv:"MS"
-          ~doc:"Where each partition window opens on the run's virtual clock.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 0x5EED
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Master seed; jitter, backoff, and fault verdicts each derive their own stream.")
-  in
-  let jitter_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "jitter" ] ~docv:"R" ~doc:"Relative stddev of per-message time noise.")
-  in
-  let cooloff_arg =
-    Arg.(
-      value
-      & opt float (Coign_netsim.Health.default_policy.Coign_netsim.Health.hp_cooloff_us /. 1e3)
-      & info [ "cooloff-ms" ] ~docv:"MS"
-          ~doc:"Initial circuit-breaker cooloff in milliseconds (virtual clock).")
-  in
-  let threshold_arg =
-    Arg.(
-      value
-      & opt int Coign_netsim.Health.default_policy.Coign_netsim.Health.hp_failure_threshold
-      & info [ "failure-threshold" ] ~docv:"N"
-          ~doc:"Consecutive link failures that trip the breaker.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the grid as a JSON array.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domains running grid cells concurrently: 1 = sequential, 0 (default) = one per \
-             core. The output is identical either way.")
-  in
-  let run image_path scenario_id network drops partitions_ms start_ms seed jitter cooloff_ms
-      threshold json jobs self_profile =
-    if List.exists (fun d -> d < 0. || d > 1.) drops then begin
-      Printf.eprintf "error: --drops rates must be in [0, 1]\n";
-      exit 1
-    end;
-    if List.exists (fun p -> p < 0.) partitions_ms || start_ms < 0. then begin
-      Printf.eprintf "error: partition lengths and start must be >= 0\n";
-      exit 1
-    end;
-    if jobs < 0 then begin
-      Printf.eprintf "error: --jobs must be >= 0\n";
-      exit 1
-    end;
-    if cooloff_ms <= 0. || threshold < 1 then begin
-      Printf.eprintf "error: --cooloff-ms must be > 0 and --failure-threshold >= 1\n";
-      exit 1
-    end;
-    let image = Binary_image.load image_path in
-    let app = app_of_image image in
-    let sc = scenario_of app scenario_id in
-    let health =
-      {
-        Coign_netsim.Health.default_policy with
-        Coign_netsim.Health.hp_failure_threshold = threshold;
-        hp_cooloff_us = cooloff_ms *. 1e3;
-      }
-    in
-    let pool, owned =
-      match jobs with
-      | 1 -> (None, None)
-      | 0 -> (Some (Parallel.default ()), None)
-      | n ->
-          let p = Parallel.create ~domains:(n - 1) () in
-          (Some p, Some p)
-    in
-    let profiler = if self_profile then Some (Coign_obs.Profiler.create ()) else None in
-    let grid =
-      try
-        Coign_sim.Resilsim.run ?pool ?profiler ~seed:(Int64.of_int seed) ~jitter ~health
-          ~drop_rates:drops
-          ~partitions_us:(List.map (fun ms -> ms *. 1e3) partitions_ms)
-          ~partition_start_us:(start_ms *. 1e3) ~image ~registry:app.App.app_registry
-          ~network sc.App.sc_run
-      with
-      | Invalid_argument msg | Coign_core.Fallback.Invalid msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
-      | Lint.Rejected diags ->
-          Format.eprintf "%a" Lint.pp_text diags;
-          Printf.eprintf "error: distribution rejected by the static validator\n";
-          exit 1
-    in
-    Option.iter Parallel.shutdown owned;
-    if json then print_string (Coign_sim.Resilsim.to_json grid)
-    else Format.printf "@[<v>%a@]@?" Coign_sim.Resilsim.pp_text grid;
-    Option.iter print_self_profile profiler
+  let run image_path scenario_id network drops partitions_ms start_ms health opts =
+    run_grid ~engines:[ Grid.Retry; Grid.Resilience ]
+      ~faults:(fun () -> drop_partition_faults drops partitions_ms start_ms)
+      ~health ~pp:Grid.pp_resilience ~to_json:Grid.resilience_json opts image_path
+      scenario_id network
   in
   let term =
     Term.(
-      const run $ image_arg $ scenario_arg $ network_arg $ drops_arg $ partitions_arg
-      $ partition_start_arg $ seed_arg $ jitter_arg $ cooloff_arg $ threshold_arg $ json_arg
-      $ jobs_arg $ self_profile_arg)
+      const run $ image_arg $ scenario_arg $ network_arg
+      $ drops_arg [ 0.; 0.05; 0.1 ]
+      $ partitions_arg [ 0.; 200. ] $ partition_start_arg $ health_opts $ grid_opts)
   in
   Cmd.v
     (Cmd.info "resilience"
@@ -882,8 +786,6 @@ let resilience_cmd =
           schedule, across any number of jobs.")
     term
 
-(* fleet ------------------------------------------------------------ *)
-
 let fleet_cmd =
   let pool_arg =
     Arg.(
@@ -891,7 +793,7 @@ let fleet_cmd =
       & info [ "pool" ] ~docv:"N"
           ~doc:
             "Largest pool size in the grid; every size from 1 to $(docv) is run. Size 1 is \
-             the PR 5 two-host resilience path bit for bit, and the grid checks that.")
+             the two-host resilience path bit for bit, and the grid checks that.")
   in
   let replicas_arg =
     Arg.(
@@ -915,110 +817,22 @@ let fleet_cmd =
       & info [ "fault-start-ms" ] ~docv:"MS"
           ~doc:"Where the fault window opens on the run's virtual clock.")
   in
-  let seed_arg =
-    Arg.(
-      value & opt int 0x5EED
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Master seed; jitter, backoff, fault verdicts, and each pool host's fault \
-             stream derive their own substream.")
-  in
-  let jitter_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "jitter" ] ~docv:"R" ~doc:"Relative stddev of per-message time noise.")
-  in
-  let cooloff_arg =
-    Arg.(
-      value
-      & opt float (Coign_netsim.Health.default_policy.Coign_netsim.Health.hp_cooloff_us /. 1e3)
-      & info [ "cooloff-ms" ] ~docv:"MS"
-          ~doc:"Initial circuit-breaker cooloff in milliseconds (virtual clock).")
-  in
-  let threshold_arg =
-    Arg.(
-      value
-      & opt int Coign_netsim.Health.default_policy.Coign_netsim.Health.hp_failure_threshold
-      & info [ "failure-threshold" ] ~docv:"N"
-          ~doc:"Consecutive link failures that trip a host's breaker.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the grid as a JSON array.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domains running grid cells concurrently: 1 = sequential, 0 (default) = one per \
-             core. The output is identical either way.")
-  in
-  let run image_path scenario_id network pool_size replicas fault_ms start_ms seed jitter
-      cooloff_ms threshold json jobs self_profile =
-    if pool_size < 1 || replicas < 1 then begin
-      Printf.eprintf "error: --pool and --replicas must be >= 1\n";
-      exit 1
-    end;
-    if fault_ms <= 0. || start_ms < 0. then begin
-      Printf.eprintf "error: --fault-ms must be > 0 and --fault-start-ms >= 0\n";
-      exit 1
-    end;
-    if jobs < 0 then begin
-      Printf.eprintf "error: --jobs must be >= 0\n";
-      exit 1
-    end;
-    if cooloff_ms <= 0. || threshold < 1 then begin
-      Printf.eprintf "error: --cooloff-ms must be > 0 and --failure-threshold >= 1\n";
-      exit 1
-    end;
-    let image = Binary_image.load image_path in
-    let app = app_of_image image in
-    let sc = scenario_of app scenario_id in
-    let health =
-      {
-        Coign_netsim.Health.default_policy with
-        Coign_netsim.Health.hp_failure_threshold = threshold;
-        hp_cooloff_us = cooloff_ms *. 1e3;
-      }
+  let run image_path scenario_id network pools replicas fault_ms start_ms health opts =
+    let faults () =
+      if pools < 1 || replicas < 1 then fail "--pool and --replicas must be >= 1";
+      if not (Float.is_finite fault_ms && Float.is_finite start_ms) then
+        fail "--fault-ms and --fault-start-ms must be finite";
+      if fault_ms <= 0. || start_ms < 0. then
+        fail "--fault-ms must be > 0 and --fault-start-ms >= 0";
+      Grid.fleet_faults ~start_us:(start_ms *. 1e3) ~length_us:(fault_ms *. 1e3)
     in
-    let pool, owned =
-      match jobs with
-      | 1 -> (None, None)
-      | 0 -> (Some (Parallel.default ()), None)
-      | n ->
-          let p = Parallel.create ~domains:(n - 1) () in
-          (Some p, Some p)
-    in
-    let profiler = if self_profile then Some (Coign_obs.Profiler.create ()) else None in
-    let grid =
-      try
-        Coign_sim.Fleetsim.run ?pool ?profiler ~seed:(Int64.of_int seed) ~jitter ~health
-          ~replicas
-          ~pools:(List.init pool_size (fun i -> i + 1))
-          ~fault_window_us:(start_ms *. 1e3, (start_ms +. fault_ms) *. 1e3)
-          ~image ~registry:app.App.app_registry ~network sc.App.sc_run
-      with
-      | Invalid_argument msg | Coign_core.Fallback.Invalid msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
-      | Coign_core.Fallback.Decode_error e ->
-          Printf.eprintf "error: %s\n" (Coign_core.Fallback.decode_error_message e);
-          exit 1
-      | Lint.Rejected diags ->
-          Format.eprintf "%a" Lint.pp_text diags;
-          Printf.eprintf "error: distribution rejected by the static validator\n";
-          exit 1
-    in
-    Option.iter Parallel.shutdown owned;
-    if json then print_string (Coign_sim.Fleetsim.to_json grid)
-    else Format.printf "@[<v>%a@]@?" Coign_sim.Fleetsim.pp_text grid;
-    Option.iter print_self_profile profiler
+    run_grid ~engines:(Grid.fleet_engines ~pools) ~faults ~health ~replicas ~pp:Grid.pp_fleet
+      ~to_json:Grid.fleet_json opts image_path scenario_id network
   in
   let term =
     Term.(
       const run $ image_arg $ scenario_arg $ network_arg $ pool_arg $ replicas_arg
-      $ fault_len_arg $ fault_start_arg $ seed_arg $ jitter_arg $ cooloff_arg $ threshold_arg
-      $ json_arg $ jobs_arg $ self_profile_arg)
+      $ fault_len_arg $ fault_start_arg $ health_opts $ grid_opts)
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -1052,7 +866,7 @@ let trace_cmd =
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the trace to FILE instead of stdout.")
   in
   let run image_path scenario_id network format output =
-    let image = Binary_image.load image_path in
+    let image = load_image image_path in
     let sink, collected = Coign_obs.Trace.collector () in
     let tracer = Coign_obs.Trace.create sink in
     let recorder, events = Logger.event_recorder () in
@@ -1095,7 +909,7 @@ let metrics_cmd =
       & info [ "json" ] ~doc:"Emit the registry as JSON instead of Prometheus text.")
   in
   let run image_path scenario_id network json =
-    let image = Binary_image.load image_path in
+    let image = load_image image_path in
     let registry = Coign_obs.Metrics.registry () in
     let _mode = observed_run ~metrics:registry image scenario_id network in
     if json then print_endline (Coign_obs.Metrics.to_json_string registry)
@@ -1114,7 +928,7 @@ let metrics_cmd =
 
 let show_cmd =
   let run image_path =
-    let image = Binary_image.load image_path in
+    let image = load_image image_path in
     Format.printf "%a@." Binary_image.pp image;
     (match image.Binary_image.config with
     | None -> print_endline "no configuration record (original binary)"
@@ -1152,10 +966,11 @@ let run_cmd =
           ~doc:"Also run the developer's default distribution and report the savings.")
   in
   let run image_path scenario_id network jitter compare_default =
-    let image = Binary_image.load image_path in
+    let image = load_image image_path in
     let app = app_of_image image in
     let sc = scenario_of app scenario_id in
-    let es = Adps.execute ~image ~registry:app.App.app_registry ~network ~jitter sc.App.sc_run in
+    let registry = app.App.app_registry in
+    let es = guard (fun () -> Adps.execute ~image ~registry ~network ~jitter sc.App.sc_run) in
     Printf.printf
       "%s on %s under the Coign distribution:\n\
       \  comm %.3f s + compute %.3f s = %.3f s total\n\
@@ -1165,7 +980,7 @@ let run_cmd =
       es.Adps.es_remote_bytes es.Adps.es_server_instances es.Adps.es_instances;
     if compare_default then begin
       let default =
-        Adps.execute_with_policy ~registry:app.App.app_registry
+        Adps.execute_with_policy ~registry
           ~classifier:(Classifier.create Classifier.Ifcb)
           ~policy:(Factory.By_class app.App.app_default_placement) ~network ~jitter
           sc.App.sc_run
@@ -1259,35 +1074,18 @@ let load_cmd =
   in
   let run image_path sessions arrival seed scenarios deadline_ms no_queueing json metrics
       jobs =
-    if sessions <= 0 then begin
-      Printf.eprintf "error: --sessions must be positive\n";
-      exit 1
-    end;
-    if jobs < 0 then begin
-      Printf.eprintf "error: --jobs must be >= 0\n";
-      exit 1
-    end;
+    if sessions <= 0 then fail "--sessions must be positive";
+    check_jobs jobs;
     fun network ->
-      let image = Binary_image.load image_path in
-      let pool, owned =
-        match jobs with
-        | 1 -> (None, None)
-        | 0 -> (Some (Parallel.default ()), None)
-        | n ->
-            let p = Parallel.create ~domains:(n - 1) () in
-            (Some p, Some p)
-      in
+      let image = load_image image_path in
       let registry = if metrics then Some (Coign_obs.Metrics.registry ()) else None in
       let result =
-        try
-          Coign_sim.Loadsim.run ?pool ?metrics:registry ~queueing:(not no_queueing)
-            ?deadline_us:(Option.map (fun ms -> ms *. 1e3) deadline_ms)
-            ?scenarios ~sessions ~arrival ~seed:(Int64.of_int seed) ~image ~network ()
-        with Invalid_argument msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
+        guard (fun () ->
+            with_jobs jobs (fun pool ->
+                Coign_sim.Loadsim.run ?pool ?metrics:registry ~queueing:(not no_queueing)
+                  ?deadline_us:(Option.map (fun ms -> ms *. 1e3) deadline_ms)
+                  ?scenarios ~sessions ~arrival ~seed:(Int64.of_int seed) ~image ~network ()))
       in
-      Option.iter Parallel.shutdown owned;
       if json then print_endline (Jsonu.to_string (Coign_sim.Loadsim.to_json result))
       else Format.printf "@[<v>%a@]@?" Coign_sim.Loadsim.pp_text result;
       Option.iter
@@ -1401,37 +1199,20 @@ let watch_cmd =
   in
   let run image_path profile phases_spec threshold half_life_ms check_every min_dwell_ms
       min_window sample_every seed json metrics jobs =
-    if jobs < 0 then begin
-      Printf.eprintf "error: --jobs must be >= 0\n";
-      exit 1
-    end;
+    check_jobs jobs;
     let phases = parse_phases phases_spec in
-    if phases = [] then begin
-      Printf.eprintf "error: --phases needs at least one non-empty phase\n";
-      exit 1
-    end;
+    if phases = [] then fail "--phases needs at least one non-empty phase";
     fun network ->
-      let image = Binary_image.load image_path in
-      let pool, owned =
-        match jobs with
-        | 1 -> (None, None)
-        | 0 -> (Some (Parallel.default ()), None)
-        | n ->
-            let p = Parallel.create ~domains:(n - 1) () in
-            (Some p, Some p)
-      in
+      let image = load_image image_path in
       let registry = if metrics then Some (Coign_obs.Metrics.registry ()) else None in
       let result =
-        try
-          Coign_sim.Watchsim.run ?pool ?metrics:registry ~threshold ~check_every
-            ~min_dwell_us:(min_dwell_ms *. 1e3) ~min_window
-            ~half_life_us:(half_life_ms *. 1e3) ~sample_every ~seed:(Int64.of_int seed)
-            ~profile_mix:profile ~phases ~image ~network ()
-        with Invalid_argument msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
+        guard (fun () ->
+            with_jobs jobs (fun pool ->
+                Coign_sim.Watchsim.run ?pool ?metrics:registry ~threshold ~check_every
+                  ~min_dwell_us:(min_dwell_ms *. 1e3) ~min_window
+                  ~half_life_us:(half_life_ms *. 1e3) ~sample_every ~seed:(Int64.of_int seed)
+                  ~profile_mix:profile ~phases ~image ~network ()))
       in
-      Option.iter Parallel.shutdown owned;
       if json then print_endline (Jsonu.to_string (Coign_sim.Watchsim.to_json result))
       else Format.printf "%a@." Coign_sim.Watchsim.pp_text result;
       Option.iter

@@ -152,23 +152,8 @@ let pp_text ppf diags =
         d.subject d.message)
     diags
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json diags =
-  let field k v = Printf.sprintf "\"%s\":\"%s\"" k (json_escape v) in
+  let field k v = Printf.sprintf "\"%s\":\"%s\"" k (Coign_util.Jsonu.escape v) in
   "["
   ^ String.concat ","
       (List.map

@@ -1444,6 +1444,10 @@ let install_profiling ?loggers ?tracer ?metrics ~classifier ctx =
   install ?loggers ?tracer ?metrics ~classifier ~mode:M_profiling ctx
 
 let install_distributed ?loggers ?tracer ?metrics ~classifier ~config ctx =
+  if not (Float.is_finite config.dc_jitter && config.dc_jitter >= 0.) then
+    invalid_arg
+      (Printf.sprintf "Rte.install_distributed: dc_jitter must be finite and >= 0 (got %g)"
+         config.dc_jitter);
   (match (config.dc_fleet, config.dc_watch) with
   | Some _, Some _ ->
       (* Both layers drive the factory policy; arbitrating between a

@@ -254,7 +254,10 @@ val install_distributed :
     upper components moving to a fresh shard on the least-loaded host
     ({!Event.Shard_split}). All decisions run on the virtual clock off
     seeded streams, so runs are deterministic and independent of
-    domain-parallel execution. *)
+    domain-parallel execution.
+
+    Raises [Invalid_argument] when [dc_jitter] is negative or not
+    finite, and when [dc_fleet] and [dc_watch] are both set. *)
 
 val uninstall : t -> unit
 (** Remove all hooks; the context reverts to plain local execution. *)

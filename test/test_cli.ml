@@ -196,6 +196,80 @@ let test_load_golden_ingest () =
               (Coign_util.Jsonu.member field j <> None))
           [ "p50_us"; "p95_us"; "p99_us"; "throughput_per_s"; "availability" ])
 
+(* The three fault-grid presets, for the robustness checks below. *)
+let grid_presets = [ "faultsim"; "resilience"; "fleet" ]
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
+
+let test_grid_malformed_images () =
+  (* A truncated image and a random file are typed decode errors:
+     exit 1 with a message naming the image, never an uncaught
+     exception (exit 125). *)
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    with_tmp (fun dir ->
+        let img = Filename.concat dir "oct.img" in
+        check_ok "instrument" (run_cmd [ "instrument"; "--app"; "octarine"; "-o"; img ]);
+        check_ok "profile" (run_cmd [ "profile"; img; "--scenario"; "o_oldwp0"; "-o"; img ]);
+        let whole = read_file img in
+        let truncated = Filename.concat dir "truncated.img" in
+        write_file truncated (String.sub whole 0 (String.length whole / 2));
+        let random = Filename.concat dir "random.img" in
+        let rng = Random.State.make [| 300 |] in
+        write_file random (String.init 300 (fun _ -> Char.chr (Random.State.int rng 256)));
+        let err = Filename.concat dir "err.txt" in
+        List.iter
+          (fun bad ->
+            List.iter
+              (fun cmd ->
+                let rc =
+                  Sys.command
+                    (Filename.quote_command exe [ cmd; bad; "--scenario"; "o_oldwp0" ]
+                    ^ " > /dev/null 2> " ^ Filename.quote err)
+                in
+                let what = Printf.sprintf "%s %s" cmd (Filename.basename bad) in
+                Alcotest.(check int) (what ^ " exits 1") 1 rc;
+                Alcotest.(check bool) (what ^ " names the malformed image") true
+                  (String.starts_with ~prefix:"error: IMAGE: malformed image ("
+                     (read_file err)))
+              grid_presets)
+          [ truncated; random ])
+
+let test_grid_rejects_bad_jitter_and_windows () =
+  (* Negative or non-finite jitter is refused by the RTE, and
+     non-finite window options by the shared front end; both exit 1. *)
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    with_tmp (fun dir ->
+        let img = Filename.concat dir "oct.img" in
+        let analyzed = Filename.concat dir "oct-an.img" in
+        check_ok "instrument" (run_cmd [ "instrument"; "--app"; "octarine"; "-o"; img ]);
+        check_ok "profile" (run_cmd [ "profile"; img; "--scenario"; "o_oldwp0"; "-o"; img ]);
+        check_ok "analyze" (run_cmd [ "analyze"; img; "-o"; analyzed ]);
+        let grid cmd extra =
+          let image = if cmd = "faultsim" then analyzed else img in
+          run_cmd ([ cmd; image; "--scenario"; "o_oldwp0"; "--jobs"; "1" ] @ extra)
+        in
+        let rejected cmd extra =
+          Alcotest.(check int) (String.concat " " (cmd :: extra) ^ " exits 1") 1 (grid cmd extra)
+        in
+        List.iter
+          (fun cmd ->
+            List.iter (fun j -> rejected cmd [ "--jitter=" ^ j ]) [ "-1"; "nan"; "inf" ])
+          grid_presets;
+        List.iter
+          (fun cmd ->
+            rejected cmd [ "--partitions-ms=0,nan" ];
+            rejected cmd [ "--partitions-ms=inf" ];
+            rejected cmd [ "--partition-start-ms=nan" ])
+          [ "faultsim"; "resilience" ];
+        rejected "fleet" [ "--fault-ms=nan" ];
+        rejected "fleet" [ "--fault-ms=inf" ];
+        rejected "fleet" [ "--fault-start-ms=nan" ];
+        rejected "faultsim" [ "--drops=nan" ])
+
 let suite =
   [
     Alcotest.test_case "cli full pipeline" `Slow test_full_pipeline;
@@ -206,4 +280,8 @@ let suite =
     Alcotest.test_case "cli load golden octarine" `Slow test_load_golden_octarine;
     Alcotest.test_case "cli load golden ingest" `Slow test_load_golden_ingest;
     Alcotest.test_case "cli watch golden octarine" `Slow test_watch_golden_octarine;
+    Alcotest.test_case "cli grid presets reject malformed images" `Slow
+      test_grid_malformed_images;
+    Alcotest.test_case "cli grid presets reject bad jitter and windows" `Slow
+      test_grid_rejects_bad_jitter_and_windows;
   ]

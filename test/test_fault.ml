@@ -240,6 +240,18 @@ let test_rte_zero_fault_identity () =
       check_bits "no fault time" 0. zeroed.Rte.st_fault_us)
     [ 0.; 0.03 ]
 
+let test_rte_rejects_bad_jitter () =
+  List.iter
+    (fun jitter ->
+      match run_split ~jitter 1 with
+      | _ -> Alcotest.failf "jitter %g accepted" jitter
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "jitter %g rejected by name" jitter)
+            true
+            (String.starts_with ~prefix:"Rte.install_distributed: dc_jitter" msg))
+    [ -1.; -0.01; Float.nan; Float.infinity ]
+
 let test_rte_full_drop_degrades_instantiation () =
   (* Every message is lost: the forwarded Back instantiation exhausts
      its three attempts (4500 us, computed as in the call tests) and
@@ -393,10 +405,12 @@ let prop_faultsim_reproducible =
     (fun (seed, drop) ->
       let image, registry, scenario = Lazy.force prepared_octarine in
       let go pool =
-        Faultsim.to_json
-          (Faultsim.run ?pool ~seed ~jitter:0.02 ~drop_rates:[ 0.; drop ]
-             ~partitions_us:[ 0.; 20_000. ] ~image ~registry ~network:Network.ethernet_10
-             scenario)
+        Fault_grid.faultsim_json
+          (Fault_grid.run ?pool ~seed ~jitter:0.02 ~engines:[ Fault_grid.Retry ]
+             ~faults:
+               (Fault_grid.drop_partition_faults ~drop_rates:[ 0.; drop ]
+                  ~partitions_us:[ 0.; 20_000. ] ~start_us:0.)
+             ~image ~registry ~network:Network.ethernet_10 scenario)
       in
       let j1 = go None in
       let j2 = go None in
@@ -464,6 +478,8 @@ let suite =
     Alcotest.test_case "call: reply-leg drop" `Quick test_call_reply_leg_drop;
     Alcotest.test_case "call: spikes counted" `Quick test_call_spikes_counted;
     Alcotest.test_case "rte: zero-fault bit identity" `Quick test_rte_zero_fault_identity;
+    Alcotest.test_case "rte: negative or non-finite jitter rejected" `Quick
+      test_rte_rejects_bad_jitter;
     Alcotest.test_case "rte: full drop degrades instantiation" `Quick
       test_rte_full_drop_degrades_instantiation;
     Alcotest.test_case "rte: crash window degrades instantiation" `Quick

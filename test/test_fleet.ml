@@ -418,9 +418,10 @@ let test_pool1_bit_identity () =
 let test_fleetsim_deterministic_across_domains () =
   let app, image, _, sc = Lazy.force prepared_octarine in
   let go pool =
-    Fleetsim.to_json
-      (Fleetsim.run ?pool ~seed:0x5EEDL ~pools:[ 1; 2 ] ~image
-         ~registry:app.App.app_registry ~network:Network.ethernet_10 sc.App.sc_run)
+    Fault_grid.fleet_json
+      (Fault_grid.run ?pool ~seed:0x5EEDL ~engines:(Fault_grid.fleet_engines ~pools:2)
+         ~faults:(Fault_grid.fleet_faults ~start_us:50_000. ~length_us:500_000.)
+         ~image ~registry:app.App.app_registry ~network:Network.ethernet_10 sc.App.sc_run)
   in
   let j1 = go None in
   let pool = Parallel.create ~domains:3 () in
@@ -428,9 +429,63 @@ let test_fleetsim_deterministic_across_domains () =
   Alcotest.(check string) "grid JSON byte-identical across domain counts" j1 j4;
   match Jsonu.parse j1 with
   | Ok (Jsonu.Arr cells) ->
-      Alcotest.(check int) "one JSON object per cell" 6 (List.length cells)
+      Alcotest.(check int) "one JSON object per cell" 6 (List.length cells);
+      List.iter
+        (fun c ->
+          if Jsonu.member "pool" c = Some (Jsonu.Int 1) then
+            Alcotest.(check bool) "pool-1 cell identical to resilience" true
+              (Jsonu.member "identical" c = Some (Jsonu.Bool true)))
+        cells
   | Ok _ -> Alcotest.fail "grid JSON is not an array"
   | Error e -> Alcotest.fail ("grid JSON does not parse: " ^ e)
+
+(* --- The three presets agree through the driver ------------------------ *)
+
+let test_presets_agree () =
+  let app, profiled, analyzed, sc = Lazy.force prepared_octarine in
+  let run engines faults image =
+    Fault_grid.run ~seed:0xA9EEL ~jitter:0.02 ~engines ~faults ~image
+      ~registry:app.App.app_registry ~network:Network.ethernet_10 sc.App.sc_run
+  in
+  let stats g engine f = (Fault_grid.outcome g engine f).Fault_grid.o_stats in
+  let faults =
+    Fault_grid.drop_partition_faults ~drop_rates:[ 0.; 0.1 ] ~partitions_us:[ 0.; 500_000. ]
+      ~start_us:50_000.
+  in
+  (* faultsim runs the stored distribution, cut here on the exact
+     network model; resilience cuts the same distribution itself, so
+     its retry-only side is the faultsim cell. *)
+  let faultsim = run [ Fault_grid.Retry ] faults analyzed in
+  let resilience = run [ Fault_grid.Retry; Fault_grid.Resilience ] faults profiled in
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        (Printf.sprintf "faultsim = resilience baseline at drop %g, window %g us"
+           f.Fault_grid.f_drop_rate f.Fault_grid.f_length_us)
+        true
+        (stats faultsim Fault_grid.Retry f = stats resilience Fault_grid.Retry f))
+    faults;
+  (* The fleet's partition regime is the same network-wide window, so
+     its resilience baseline is the resilience preset's resilient side. *)
+  let fleet =
+    run (Fault_grid.fleet_engines ~pools:2)
+      (Fault_grid.fleet_faults ~start_us:50_000. ~length_us:500_000.)
+      profiled
+  in
+  let partition =
+    List.find
+      (fun f -> f.Fault_grid.f_scope = Fault_grid.Global && f.Fault_grid.f_length_us > 0.)
+      fleet.Fault_grid.g_faults
+  in
+  let window =
+    List.find
+      (fun f -> f.Fault_grid.f_drop_rate = 0. && f.Fault_grid.f_length_us > 0.)
+      faults
+  in
+  Alcotest.(check bool) "resilient side = fleet partition baseline" true
+    (stats resilience Fault_grid.Resilience window = stats fleet Fault_grid.Resilience partition);
+  Alcotest.(check bool) "the partition is a real fault" true
+    ((stats fleet Fault_grid.Resilience partition).Adps.es_failovers > 0)
 
 (* --- Golden CLI output ------------------------------------------------ *)
 
@@ -489,5 +544,6 @@ let suite =
       test_pool1_bit_identity;
     Alcotest.test_case "fleet grid deterministic across domains" `Slow
       test_fleetsim_deterministic_across_domains;
+    Alcotest.test_case "faultsim, resilience and fleet presets agree" `Slow test_presets_agree;
     Alcotest.test_case "cli fleet golden output" `Slow test_fleet_golden;
   ]

@@ -514,30 +514,34 @@ let test_resilsim_improves_availability () =
   let image = Adps.instrument app.App.app_image in
   let image, _ = Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run in
   let grid =
-    Resilsim.run ~drop_rates:[ 0. ] ~partitions_us:[ 500_000. ]
-      ~partition_start_us:50_000. ~image ~registry:app.App.app_registry
-      ~network:Network.atm_155 sc.App.sc_run
+    Fault_grid.run ~engines:[ Fault_grid.Retry; Fault_grid.Resilience ]
+      ~faults:
+        (Fault_grid.drop_partition_faults ~drop_rates:[ 0. ] ~partitions_us:[ 500_000. ]
+           ~start_us:50_000.)
+      ~image ~registry:app.App.app_registry ~network:Network.atm_155 sc.App.sc_run
   in
-  match grid.Resilsim.rg_cells with
-  | [ cell ] ->
-      let avail = Resilsim.availability grid in
-      Alcotest.(check bool) "baseline is cut short" false
-        cell.Resilsim.rr_baseline.Adps.es_completed;
-      Alcotest.(check bool) "resilient run completes" true
-        cell.Resilsim.rr_resilient.Adps.es_completed;
+  match grid.Fault_grid.g_faults with
+  | [ fault ] ->
+      let side e = (Fault_grid.outcome grid e fault).Fault_grid.o_stats in
+      let baseline = side Fault_grid.Retry and resilient = side Fault_grid.Resilience in
+      let avail = Fault_grid.availability grid in
+      Alcotest.(check bool) "baseline is cut short" false baseline.Adps.es_completed;
+      Alcotest.(check bool) "resilient run completes" true resilient.Adps.es_completed;
       Alcotest.(check bool) "availability strictly improves" true
-        (avail cell.Resilsim.rr_resilient > avail cell.Resilsim.rr_baseline);
-      Alcotest.(check bool) "the ladder was used" true
-        (cell.Resilsim.rr_resilient.Adps.es_failovers > 0)
-  | cells -> Alcotest.fail (Printf.sprintf "expected 1 cell, got %d" (List.length cells))
+        (avail resilient > avail baseline);
+      Alcotest.(check bool) "the ladder was used" true (resilient.Adps.es_failovers > 0)
+  | faults -> Alcotest.fail (Printf.sprintf "expected 1 fault, got %d" (List.length faults))
 
 let test_resilsim_deterministic_across_domains () =
   let image, registry, scenario = Lazy.force prepared_octarine in
   let go pool =
-    Resilsim.to_json
-      (Resilsim.run ?pool ~seed:0xD1CEL ~jitter:0.02 ~drop_rates:[ 0.; 0.1 ]
-         ~partitions_us:[ 0.; 20_000. ] ~image ~registry ~network:Network.ethernet_10
-         scenario)
+    Fault_grid.resilience_json
+      (Fault_grid.run ?pool ~seed:0xD1CEL ~jitter:0.02
+         ~engines:[ Fault_grid.Retry; Fault_grid.Resilience ]
+         ~faults:
+           (Fault_grid.drop_partition_faults ~drop_rates:[ 0.; 0.1 ]
+              ~partitions_us:[ 0.; 20_000. ] ~start_us:0.)
+         ~image ~registry ~network:Network.ethernet_10 scenario)
   in
   let j1 = go None in
   let j2 = go None in
