@@ -44,9 +44,14 @@ let profile_results ?loggers ?tracer ?metrics ~image ~registry scenario =
   let rte = Rte.install_profiling ?loggers ?tracer ?metrics ~classifier ctx in
   scenario ctx;
   Rte.uninstall rte;
+  (* Fold this run into the decoded prior profile in place; the RTE's
+     own table stays this run's alone. *)
   let icc =
     match Config_record.entry config key_icc with
-    | Some prior -> Icc.merge (Icc.decode prior) (Rte.icc rte)
+    | Some prior ->
+        let merged = Icc.decode prior in
+        Icc.absorb ~into:merged (Rte.icc rte);
+        merged
     | None -> Rte.icc rte
   in
   let config =

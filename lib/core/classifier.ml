@@ -1,3 +1,5 @@
+open Coign_util
+
 type kind = Incremental | Pcb | St | Stcb | Ifcb | Epcb | Ib
 
 let all_kinds = [ Incremental; Pcb; St; Stcb; Ifcb; Epcb; Ib ]
@@ -61,65 +63,78 @@ let create ?stack_depth ckind =
 let kind t = t.ckind
 let stack_depth t = t.depth
 
-(* Collapse consecutive frames of the same instance, keeping the
-   deepest frame of each run — the method by which control *entered*
-   the instance. Input and output are most-recent-first. *)
-let entry_points frames =
-  (* Work oldest-first so "entered by" is the first frame of a run. *)
-  let rec collapse = function
-    | [] -> []
-    | f :: rest ->
-        let rec skip_run = function
-          | g :: more when g.Frame.f_inst = f.Frame.f_inst -> skip_run more
-          | tail -> tail
-        in
-        f :: collapse (skip_run rest)
-  in
-  List.rev (collapse (List.rev frames))
+(* Descriptors are built in a per-domain scratch buffer, so forming one
+   allocates only the resulting string. *)
+let scratch = Domain.DLS.new_key (fun () -> Buffer.create 256)
 
-let limit_frames depth frames =
-  match depth with
-  | None -> frames
-  | Some k ->
-      let rec take k = function
-        | [] -> []
-        | _ when k = 0 -> []
-        | f :: rest -> f :: take (k - 1) rest
+(* What a call-chain descriptor says about each frame. *)
+type part =
+  | Class_method  (* PCB: class::method *)
+  | Class  (* STCB: the instance's class *)
+  | Call_site  (* IFCB, EPCB: [c<classification>,method] *)
+
+let add_part buf part f =
+  match part with
+  | Class_method ->
+      Buffer.add_string buf f.Frame.f_class;
+      Buffer.add_string buf "::";
+      Buffer.add_string buf f.Frame.f_meth
+  | Class -> Buffer.add_string buf f.Frame.f_class
+  | Call_site ->
+      Buffer.add_string buf "[c";
+      Decimal.add buf f.Frame.f_classification;
+      Buffer.add_char buf ',';
+      Buffer.add_string buf f.Frame.f_meth;
+      Buffer.add_char buf ']'
+
+(* ", part" for each of the first [k] frames ([k < 0]: all of them),
+   most-recent-first. [entry_only] keeps, of each run of consecutive
+   frames of one instance, only the deepest — the method by which
+   control *entered* the instance (paper Figure 3); the depth limit
+   applies before runs collapse. *)
+let rec add_frames buf part ~entry_only k = function
+  | [] -> ()
+  | _ when k = 0 -> ()
+  | f :: rest ->
+      let last_of_run =
+        k = 1 || match rest with [] -> true | g :: _ -> g.Frame.f_inst <> f.Frame.f_inst
       in
-      take k frames
+      if (not entry_only) || last_of_run then begin
+        Buffer.add_string buf ", ";
+        add_part buf part f
+      end;
+      add_frames buf part ~entry_only (k - 1) rest
+
+(* The instantiated class, then its call chain. *)
+let add_chain buf t ~cname ~stack part ~entry_only =
+  Buffer.add_string buf cname;
+  add_frames buf part ~entry_only (match t.depth with None -> -1 | Some d -> d) stack
 
 let descriptor t ~cname ~stack =
-  let frames = limit_frames t.depth stack in
-  match t.ckind with
-  | Incremental -> Printf.sprintf "[%d]" t.order
-  | St -> Printf.sprintf "[%s]" cname
-  | Pcb ->
-      let chain = List.map (fun f -> f.Frame.f_class ^ "::" ^ f.Frame.f_meth) frames in
-      Printf.sprintf "[%s]" (String.concat ", " (cname :: chain))
+  let buf = Domain.DLS.get scratch in
+  Buffer.clear buf;
+  Buffer.add_char buf '[';
+  let frames = add_chain buf t ~cname ~stack in
+  (match t.ckind with
+  | Incremental -> Decimal.add buf t.order
+  | St -> Buffer.add_string buf cname
+  | Pcb -> frames Class_method ~entry_only:false
   | Stcb ->
       (* Classes of the *instances* in the back-trace: an instance that
          occupies several consecutive frames contributes its class once
          (paper Figure 3 lists instance a's class A a single time). *)
-      let chain = List.map (fun f -> f.Frame.f_class) (entry_points frames) in
-      Printf.sprintf "[%s]" (String.concat ", " (cname :: chain))
-  | Ifcb ->
-      let chain =
-        List.map
-          (fun f -> Printf.sprintf "[c%d,%s]" f.Frame.f_classification f.Frame.f_meth)
-          frames
-      in
-      Printf.sprintf "[%s]" (String.concat ", " (cname :: chain))
-  | Epcb ->
-      let chain =
-        List.map
-          (fun f -> Printf.sprintf "[c%d,%s]" f.Frame.f_classification f.Frame.f_meth)
-          (entry_points frames)
-      in
-      Printf.sprintf "[%s]" (String.concat ", " (cname :: chain))
+      frames Class ~entry_only:true
+  | Ifcb -> frames Call_site ~entry_only:false
+  | Epcb -> frames Call_site ~entry_only:true
   | Ib -> (
-      match frames with
-      | [] -> Printf.sprintf "[%s, root]" cname
-      | f :: _ -> Printf.sprintf "[%s, c%d]" cname f.Frame.f_classification)
+      Buffer.add_string buf cname;
+      match stack with
+      | [] -> Buffer.add_string buf ", root"
+      | f :: _ ->
+          Buffer.add_string buf ", c";
+          Decimal.add buf f.Frame.f_classification));
+  Buffer.add_char buf ']';
+  Buffer.contents buf
 
 let grow t =
   if t.nclassifications = Array.length t.descriptors then begin
@@ -139,9 +154,9 @@ let classify t ~cname ~stack =
   let desc = descriptor t ~cname ~stack in
   t.order <- t.order + 1;
   let id =
-    match Hashtbl.find_opt t.table desc with
-    | Some id -> id
-    | None ->
+    match Hashtbl.find t.table desc with
+    | id -> id
+    | exception Not_found ->
         grow t;
         let id = t.nclassifications in
         Hashtbl.add t.table desc id;
@@ -218,13 +233,13 @@ let encode t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (kind_name t.ckind);
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (match t.depth with None -> "full" | Some d -> string_of_int d);
+  (match t.depth with None -> Buffer.add_string buf "full" | Some d -> Decimal.add buf d);
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (string_of_int t.order);
+  Decimal.add buf t.order;
   Buffer.add_char buf '\n';
   for id = 0 to t.nclassifications - 1 do
     (* Descriptors never contain newlines or tabs; classes neither. *)
-    Buffer.add_string buf (string_of_int t.counts.(id));
+    Decimal.add buf t.counts.(id);
     Buffer.add_char buf '\t';
     Buffer.add_string buf t.classes.(id);
     Buffer.add_char buf '\t';
@@ -234,6 +249,11 @@ let encode t =
   Buffer.contents buf
 
 let decode s =
+  let int_field ~what x =
+    match Decimal.parse x 0 (String.length x) with
+    | n when n >= 0 -> n
+    | _ | (exception Failure _) -> invalid_arg ("Classifier.decode: malformed " ^ what)
+  in
   match String.split_on_char '\n' s with
   | kind_line :: depth_line :: order_line :: rest ->
       let ckind =
@@ -242,21 +262,23 @@ let decode s =
         | None -> invalid_arg ("Classifier.decode: unknown kind " ^ kind_line)
       in
       let depth =
-        if String.equal depth_line "full" then None else Some (int_of_string depth_line)
+        if String.equal depth_line "full" then None
+        else Some (int_field ~what:"header" depth_line)
       in
       let t = create ?stack_depth:depth ckind in
-      t.order <- int_of_string order_line;
+      t.order <- int_field ~what:"header" order_line;
       List.iter
         (fun line ->
           if not (String.equal line "") then
             match String.split_on_char '\t' line with
             | [ count; cls; desc ] ->
+                let count = int_field ~what:"row" count in
                 grow t;
                 let id = t.nclassifications in
                 Hashtbl.add t.table desc id;
                 t.descriptors.(id) <- desc;
                 t.classes.(id) <- cls;
-                t.counts.(id) <- int_of_string count;
+                t.counts.(id) <- count;
                 t.nclassifications <- id + 1
             | _ -> invalid_arg "Classifier.decode: malformed row")
         rest;

@@ -96,4 +96,9 @@ val merge : t -> t -> t * int array
 
 val encode : t -> string
 val decode : string -> t
-(** Round-trips classifier kind, depth, and the descriptor table. *)
+(** Round-trips classifier kind, depth, and the descriptor table.
+    Raises [Invalid_argument] on text {!encode} cannot produce:
+    ["Classifier.decode: malformed header"] for a depth or ordinal that
+    is not a non-negative decimal int, ["Classifier.decode: malformed
+    row"] for a row without three tab-separated fields or whose count
+    is not one. *)

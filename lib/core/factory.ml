@@ -1,3 +1,4 @@
+open Coign_util
 module Metrics = Coign_obs.Metrics
 
 type policy =
@@ -9,7 +10,7 @@ type counters = { co_local : Metrics.counter; co_forwarded : Metrics.counter }
 
 type t = {
   mutable policy : policy;
-  machines : (int, Constraints.location) Hashtbl.t;
+  machines : Dense_map.t; (* instance -> location code, see [code] *)
   mutable local : int;
   mutable forwarded : int;
   obs : counters option;
@@ -27,7 +28,7 @@ let create ?metrics policy =
         { co_local = requests "local"; co_forwarded = requests "forwarded" })
       metrics
   in
-  { policy; machines = Hashtbl.create 256; local = 0; forwarded = 0; obs }
+  { policy; machines = Dense_map.create ~absent:0; local = 0; forwarded = 0; obs }
 
 let decide t ~classification ~cname ~creator_machine =
   let target =
@@ -56,18 +57,23 @@ let policy t = t.policy
    placed instances keep their recorded machine until re-recorded. *)
 let set_policy t policy = t.policy <- policy
 
-let record_instance t ~inst loc = Hashtbl.replace t.machines inst loc
+(* Instance ids are dense, so the placement map is an array of codes;
+   0 marks an instance never recorded. *)
+let code = function Constraints.Client -> 1 | Constraints.Server -> 2
+let location_of_code c = if c = 2 then Constraints.Server else Constraints.Client
+
+let record_instance t ~inst loc =
+  if inst < 0 then invalid_arg "Factory.record_instance: negative instance id";
+  Dense_map.set t.machines inst (code loc)
 
 let instances t =
-  Hashtbl.fold (fun inst loc acc -> (inst, loc) :: acc) t.machines []
-  |> List.sort compare
+  Dense_map.fold (fun inst c acc -> (inst, location_of_code c) :: acc) t.machines []
 
-let machine_of t inst =
-  Option.value ~default:Constraints.Client (Hashtbl.find_opt t.machines inst)
+let machine_of t inst = location_of_code (Dense_map.get t.machines inst)
 
 let instances_on t loc =
-  Hashtbl.fold (fun inst l acc -> if l = loc then inst :: acc else acc) t.machines []
-  |> List.sort compare
+  let want = code loc in
+  Dense_map.fold (fun inst c acc -> if c = want then inst :: acc else acc) t.machines []
 
 let local_requests t = t.local
 let forwarded_requests t = t.forwarded

@@ -41,11 +41,15 @@ val set_policy : t -> policy -> unit
     machine until re-recorded ({!record_instance}). *)
 
 val record_instance : t -> inst:int -> Constraints.location -> unit
+(** Record (or move) an instance's machine. Instance ids are dense, so
+    the map is an array; raises [Invalid_argument] on a negative id. *)
+
 val machine_of : t -> int -> Constraints.location
 (** Machine an instance was placed on; the main program (instance 0)
     and unrecorded instances are on the client. *)
 
 val instances_on : t -> Constraints.location -> int list
+(** Recorded instances on a machine, ascending. *)
 
 val instances : t -> (int * Constraints.location) list
 (** All recorded instances with their machines, sorted by instance. *)

@@ -1,10 +1,19 @@
 open Coign_util
 
-type key = { k_src : int; k_dst : int; k_iface : string }
+(* Cells are keyed by (src, dst, interface id) in a [Key_index]; an
+   interface name is interned once per table, so recording a call under
+   an interned interface hashes no string. Per-cell state lives in
+   arrays indexed by the cell id. *)
+type t = {
+  index : Key_index.t;
+  remotable_flags : Dense_map.t; (* per cell: 1 remotable (the default), 0 not *)
+  mutable buckets : Exp_bucket.t array; (* per cell *)
+  iface_ids : (string, int) Hashtbl.t;
+  mutable iface_names : string array; (* interface id -> name *)
+  mutable calls : int;
+}
 
-type cell = { mutable remotable : bool; buckets : Exp_bucket.t }
-
-type t = { cells : (key, cell) Hashtbl.t; mutable calls : int }
+type iface = int
 
 type entry = {
   src : int;
@@ -14,31 +23,93 @@ type entry = {
   messages : Exp_bucket.t;
 }
 
-let create () = { cells = Hashtbl.create 256; calls = 0 }
+let create () =
+  {
+    index = Key_index.create 16;
+    remotable_flags = Dense_map.create ~absent:1;
+    buckets = Array.make 16 (Exp_bucket.create ());
+    iface_ids = Hashtbl.create 16;
+    iface_names = Array.make 16 "";
+    calls = 0;
+  }
 
-let cell_of t key =
-  match Hashtbl.find_opt t.cells key with
-  | Some c -> c
+let intern t name =
+  match Hashtbl.find_opt t.iface_ids name with
+  | Some id -> id
   | None ->
-      let c = { remotable = true; buckets = Exp_bucket.create () } in
-      Hashtbl.add t.cells key c;
-      c
+      let id = Hashtbl.length t.iface_ids in
+      if id = Array.length t.iface_names then begin
+        let names = Array.make (2 * id) "" in
+        Array.blit t.iface_names 0 names 0 id;
+        t.iface_names <- names
+      end;
+      t.iface_names.(id) <- name;
+      Hashtbl.add t.iface_ids name id;
+      id
 
-let record t ~src ~dst ~iface ~remotable ~request ~reply =
-  let c = cell_of t { k_src = src; k_dst = dst; k_iface = iface } in
-  if not remotable then c.remotable <- false;
-  Exp_bucket.add c.buckets ~bytes:request;
-  Exp_bucket.add c.buckets ~bytes:reply;
+let cell_count t = Key_index.length t.index
+let cell_src t c = Key_index.key_a t.index c
+let cell_dst t c = Key_index.key_b t.index c
+let cell_iface t c = t.iface_names.(Key_index.key_c t.index c)
+let cell_remotable t c = Dense_map.get t.remotable_flags c = 1
+let mark_non_remotable t c = Dense_map.set t.remotable_flags c 0
+
+(* The cell of (src, dst, iface), created remotable and empty. *)
+let cell t ~src ~dst iface =
+  let n = Key_index.length t.index in
+  let c = Key_index.intern t.index src dst iface in
+  if c = n then begin
+    if c = Array.length t.buckets then begin
+      let buckets = Array.make (2 * c) t.buckets.(0) in
+      Array.blit t.buckets 0 buckets 0 c;
+      t.buckets <- buckets
+    end;
+    t.buckets.(c) <- Exp_bucket.create ()
+  end;
+  c
+
+let record_interned t ~src ~dst iface ~remotable ~request ~reply =
+  let c = cell t ~src ~dst iface in
+  if not remotable then mark_non_remotable t c;
+  let b = t.buckets.(c) in
+  Exp_bucket.add b ~bytes:request;
+  Exp_bucket.add b ~bytes:reply;
   t.calls <- t.calls + 1
 
-let entries t =
-  Hashtbl.fold
-    (fun k (c : cell) acc ->
-      { src = k.k_src; dst = k.k_dst; iface = k.k_iface; remotable = c.remotable;
-        messages = c.buckets }
-      :: acc)
-    t.cells []
-  |> List.sort (fun a b -> compare (a.src, a.dst, a.iface) (b.src, b.dst, b.iface))
+let record t ~src ~dst ~iface ~remotable ~request ~reply =
+  record_interned t ~src ~dst (intern t iface) ~remotable ~request ~reply
+
+(* Cell ids in key order: src, then dst, then interface name. Names are
+   ranked once, so cells compare as int triples. *)
+let sorted_cells t =
+  let names = Array.init (Hashtbl.length t.iface_ids) Fun.id in
+  Array.sort (fun a b -> String.compare t.iface_names.(a) t.iface_names.(b)) names;
+  let rank = Array.make (Array.length names) 0 in
+  Array.iteri (fun r id -> rank.(id) <- r) names;
+  let n = cell_count t in
+  let src = Array.init n (cell_src t) and dst = Array.init n (cell_dst t) in
+  let iface = Array.init n (fun c -> rank.(Key_index.key_c t.index c)) in
+  let cells = Array.init n Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = Int.compare src.(a) src.(b) in
+      if c <> 0 then c
+      else
+        let c = Int.compare dst.(a) dst.(b) in
+        if c <> 0 then c else Int.compare iface.(a) iface.(b))
+    cells;
+  cells
+
+let entry_of t c =
+  {
+    src = cell_src t c;
+    dst = cell_dst t c;
+    iface = cell_iface t c;
+    remotable = cell_remotable t c;
+    messages = t.buckets.(c);
+  }
+
+let entries t = Array.fold_right (fun c acc -> entry_of t c :: acc) (sorted_cells t) []
 
 let pair_entries t =
   let pairs = Hashtbl.create 64 in
@@ -52,105 +123,159 @@ let pair_entries t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let fold_messages f t init =
-  Hashtbl.fold
-    (fun k (c : cell) acc ->
-      f ~src:k.k_src ~dst:k.k_dst ~count:(Exp_bucket.message_count c.buckets) acc)
-    t.cells init
+  let acc = ref init in
+  for c = 0 to cell_count t - 1 do
+    acc :=
+      f ~src:(cell_src t c) ~dst:(cell_dst t c) ~count:(Exp_bucket.message_count t.buckets.(c))
+        !acc
+  done;
+  !acc
 
 let call_count t = t.calls
 
 let total_bytes t =
-  Hashtbl.fold (fun _ c acc -> acc + Exp_bucket.total_bytes c.buckets) t.cells 0
+  let total = ref 0 in
+  for c = 0 to cell_count t - 1 do
+    total := !total + Exp_bucket.total_bytes t.buckets.(c)
+  done;
+  !total
+
+(* Fold every cell of [from] into [into], under [remap]ped
+   classifications. *)
+let absorb_mapped remap ~into from =
+  for c = 0 to cell_count from - 1 do
+    let d =
+      cell into ~src:(remap (cell_src from c)) ~dst:(remap (cell_dst from c))
+        (intern into (cell_iface from c))
+    in
+    if not (cell_remotable from c) then mark_non_remotable into d;
+    Exp_bucket.add_into into.buckets.(d) from.buckets.(c)
+  done
+
+let absorb ~into from =
+  absorb_mapped Fun.id ~into from;
+  into.calls <- into.calls + from.calls
 
 let merge a b =
   let r = create () in
-  let absorb t =
-    Hashtbl.iter
-      (fun k (c : cell) ->
-        match Hashtbl.find_opt r.cells k with
-        | None ->
-            Hashtbl.add r.cells k
-              { remotable = c.remotable; buckets = Exp_bucket.merge c.buckets (Exp_bucket.create ()) }
-        | Some existing ->
-            if not c.remotable then existing.remotable <- false;
-            Hashtbl.replace r.cells k
-              { remotable = existing.remotable && c.remotable;
-                buckets = Exp_bucket.merge existing.buckets c.buckets })
-      t.cells
-  in
-  absorb a;
-  absorb b;
-  r.calls <- a.calls + b.calls;
+  absorb ~into:r a;
+  absorb ~into:r b;
   r
 
 let map_classifications f t =
   let r = create () in
-  Hashtbl.iter
-    (fun k (c : cell) ->
-      let remap x = if x < 0 then x else f x in
-      let key = { k_src = remap k.k_src; k_dst = remap k.k_dst; k_iface = k.k_iface } in
-      match Hashtbl.find_opt r.cells key with
-      | None ->
-          Hashtbl.add r.cells key
-            { remotable = c.remotable; buckets = Exp_bucket.merge c.buckets (Exp_bucket.create ()) }
-      | Some existing ->
-          Hashtbl.replace r.cells key
-            { remotable = existing.remotable && c.remotable;
-              buckets = Exp_bucket.merge existing.buckets c.buckets })
-    t.cells;
+  absorb_mapped (fun x -> if x < 0 then x else f x) ~into:r t;
   r.calls <- t.calls;
   r
 
-let is_empty t = Hashtbl.length t.cells = 0
+let is_empty t = cell_count t = 0
 
-(* Text encoding: one line per (entry, bucket). *)
+(* Text encoding: a "calls N" line, then one line per (cell, non-empty
+   bucket) in key order:
+   src TAB dst TAB iface TAB remotable(0|1) TAB bucket TAB count TAB bytes *)
 let encode t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "calls %d\n" t.calls);
-  List.iter
-    (fun e ->
+  let buf = Buffer.create (64 * (cell_count t + 1)) in
+  let int n = Decimal.add buf n in
+  let tab () = Buffer.add_char buf '\t' in
+  Buffer.add_string buf "calls ";
+  int t.calls;
+  Buffer.add_char buf '\n';
+  Array.iter
+    (fun c ->
+      let src = cell_src t c and dst = cell_dst t c and iface = cell_iface t c in
+      let remotable = if cell_remotable t c then '1' else '0' in
       ignore
         (Exp_bucket.fold
            (fun ~index ~count ~bytes () ->
-             Buffer.add_string buf
-               (Printf.sprintf "%d\t%d\t%s\t%d\t%d\t%d\t%d\n" e.src e.dst e.iface
-                  (if e.remotable then 1 else 0)
-                  index count bytes))
-           e.messages ()))
-    (entries t);
+             int src;
+             tab ();
+             int dst;
+             tab ();
+             Buffer.add_string buf iface;
+             tab ();
+             Buffer.add_char buf remotable;
+             tab ();
+             int index;
+             tab ();
+             int count;
+             tab ();
+             int bytes;
+             Buffer.add_char buf '\n')
+           t.buckets.(c) ()))
+    (sorted_cells t);
   Buffer.contents buf
+
+let malformed () = invalid_arg "Icc.decode: malformed line"
+
+let parse_int s i j = match Decimal.parse s i j with n -> n | exception Failure _ -> malformed ()
+
+let parse_nonneg s i j =
+  let n = parse_int s i j in
+  if n < 0 then malformed ();
+  n
+
+(* End of the tab-separated field starting at [i] on the line ending
+   at [stop]: a tab unless the field is the line's [last]. *)
+let field s i stop ~last =
+  let rec scan k = if k >= stop || s.[k] = '\t' then k else scan (k + 1) in
+  let e = scan i in
+  if last <> (e = stop) then malformed ();
+  e
+
+let calls_prefix = "calls "
+
+let rec prefix_at s i k =
+  k = String.length calls_prefix || (s.[i + k] = calls_prefix.[k] && prefix_at s i (k + 1))
+
+let decode_line t s i stop =
+  if stop - i > String.length calls_prefix && prefix_at s i 0 then
+    t.calls <- parse_nonneg s (i + String.length calls_prefix) stop
+  else begin
+    let e0 = field s i stop ~last:false in
+    let e1 = field s (e0 + 1) stop ~last:false in
+    let e2 = field s (e1 + 1) stop ~last:false in
+    let e3 = field s (e2 + 1) stop ~last:false in
+    let e4 = field s (e3 + 1) stop ~last:false in
+    let e5 = field s (e4 + 1) stop ~last:false in
+    let e6 = field s (e5 + 1) stop ~last:true in
+    let src = parse_int s i e0 and dst = parse_int s (e0 + 1) e1 in
+    let iface = intern t (String.sub s (e1 + 1) (e2 - e1 - 1)) in
+    let remotable =
+      match s.[e2 + 1] with
+      | '1' when e3 = e2 + 2 -> true
+      | '0' when e3 = e2 + 2 -> false
+      | _ -> malformed ()
+    in
+    let index = parse_nonneg s (e3 + 1) e4 in
+    let count = parse_nonneg s (e4 + 1) e5 in
+    let bytes = parse_nonneg s (e5 + 1) e6 in
+    if index >= Exp_bucket.bucket_count then malformed ();
+    let c = cell t ~src ~dst iface in
+    if not remotable then mark_non_remotable t c;
+    (* Reconstruct the bucket contents: distribute the total bytes over
+       [count] messages without leaving the bucket — floor-mean
+       messages plus enough (mean+1)-byte messages to absorb the
+       remainder — preserving count and totals. *)
+    if count > 0 then begin
+      let lo, _hi = Exp_bucket.bucket_bounds index in
+      let mean = Int.max lo (bytes / count) in
+      let remainder = Int.max 0 (bytes - (mean * count)) in
+      let b = t.buckets.(c) in
+      Exp_bucket.add_many b ~bytes:mean ~count:(count - remainder);
+      Exp_bucket.add_many b ~bytes:(mean + 1) ~count:remainder
+    end
+  end
 
 let decode s =
   let t = create () in
-  List.iter
-    (fun line ->
-      if not (String.equal line "") then
-        if String.length line > 6 && String.sub line 0 6 = "calls " then
-          t.calls <- int_of_string (String.sub line 6 (String.length line - 6))
-        else
-          match String.split_on_char '\t' line with
-          | [ src; dst; iface; remotable; index; count; bytes ] ->
-              let c =
-                cell_of t
-                  { k_src = int_of_string src; k_dst = int_of_string dst; k_iface = iface }
-              in
-              if String.equal remotable "0" then c.remotable <- false;
-              let count = int_of_string count and bytes = int_of_string bytes in
-              let index = int_of_string index in
-              (* Reconstruct the bucket contents: distribute total bytes
-                 over count messages of the mean size, preserving count
-                 and totals within the original bucket. *)
-              if count > 0 then begin
-                (* Distribute total bytes over count messages without
-                   leaving the bucket: floor-mean messages plus enough
-                   (mean+1)-byte messages to absorb the remainder. *)
-                let mean = bytes / count in
-                let lo, _hi = Exp_bucket.bucket_bounds index in
-                let mean = max lo mean in
-                let remainder = max 0 (bytes - (mean * count)) in
-                Exp_bucket.add_many c.buckets ~bytes:mean ~count:(count - remainder);
-                Exp_bucket.add_many c.buckets ~bytes:(mean + 1) ~count:remainder
-              end
-          | _ -> invalid_arg "Icc.decode: malformed line")
-    (String.split_on_char '\n' s);
+  let len = String.length s in
+  let rec lines i =
+    if i < len then begin
+      let rec line_end k = if k >= len || s.[k] = '\n' then k else line_end (k + 1) in
+      let stop = line_end i in
+      if stop > i then decode_line t s i stop;
+      lines (stop + 1)
+    end
+  in
+  lines 0;
   t

@@ -26,8 +26,20 @@ val record :
     [reply] bytes back). A call on a non-remotable interface marks the
     whole (src,dst,iface) entry non-remotable forever. *)
 
+type iface
+(** An interface name interned in one table. *)
+
+val intern : t -> string -> iface
+(** The table's id for an interface name, assigned on first use. *)
+
+val record_interned :
+  t -> src:int -> dst:int -> iface -> remotable:bool -> request:int -> reply:int -> unit
+(** {!record} under a name interned in the same table: hashes no
+    string, so the profiling RTE interns once per interface wrapper. *)
+
 val entries : t -> entry list
-(** Deterministic order (sorted by key). *)
+(** Sorted by [(src, dst, iface)], with interface names in
+    [String.compare] order. *)
 
 val pair_entries : t -> ((int * int) * entry list) list
 (** Entries grouped by unordered classification pair; the pair key is
@@ -49,16 +61,28 @@ val merge : t -> t -> t
 (** Combine profiles from multiple scenarios (paper: "log files from
     multiple profiling scenarios may be combined"). *)
 
+val absorb : into:t -> t -> unit
+(** [absorb ~into t] merges [t] into [into] in place: afterwards [into]
+    encodes as [merge into t] would. [t] is unchanged. *)
+
 val map_classifications : (int -> int) -> t -> t
 (** Rewrite classification ids (e.g. with the remap from
     {!Classifier.merge}); the main program's [-1] is preserved. Entries
     that collide after mapping merge. *)
 
 val encode : t -> string
+(** A ["calls N"] line, then one line per non-empty bucket of each entry
+    in {!entries} order:
+    [src TAB dst TAB iface TAB remotable(0|1) TAB bucket TAB count TAB bytes]. *)
+
 val decode : string -> t
 (** [decode (encode t)] preserves per-bucket message counts and byte
     totals (individual sizes within a bucket are summarized — that is
     the point of the buckets), so [encode] is a fixpoint after one
-    round trip. *)
+    round trip. Raises [Invalid_argument "Icc.decode: malformed line"]
+    on a line that is not of that form: a field that is not a decimal
+    int, a negative count, byte total, bucket index or call total, a
+    bucket index past {!Coign_util.Exp_bucket.bucket_count}, or a
+    remotable flag other than [0] or [1]. *)
 
 val is_empty : t -> bool

@@ -13,6 +13,11 @@ val create : unit -> t
 val record : t -> src:int -> dst:int -> bytes:int -> unit
 (** One message of [bytes] from instance [src] to [dst]. *)
 
+val record_call : t -> caller:int -> callee:int -> request:int -> reply:int -> unit
+(** A call's two messages in one update: [request] bytes from [caller]
+    to [callee] and [reply] bytes back. Same effect as the two
+    {!record}s. *)
+
 val pair_total : t -> int -> int -> int * int
 (** [(count, bytes)] exchanged between two instances, both directions
     combined. *)

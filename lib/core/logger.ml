@@ -9,8 +9,8 @@ let profiling ~icc ~inst_comm =
           remotable; request_bytes; reply_bytes } ->
         Icc.record icc ~src:caller_classification ~dst:callee_classification ~iface
           ~remotable ~request:request_bytes ~reply:reply_bytes;
-        Inst_comm.record inst_comm ~src:caller ~dst:callee ~bytes:request_bytes;
-        Inst_comm.record inst_comm ~src:callee ~dst:caller ~bytes:reply_bytes
+        Inst_comm.record_call inst_comm ~caller ~callee ~request:request_bytes
+          ~reply:reply_bytes
     | Event.Component_instantiated _ | Event.Component_destroyed _
     | Event.Interface_instantiated _ | Event.Interface_destroyed _
     | Event.Call_retried _ | Event.Instantiation_degraded _ | Event.Breaker_opened _

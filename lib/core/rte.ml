@@ -334,11 +334,18 @@ type t = {
   rte_classifier : Classifier.t;
   stack : Shadow_stack.t;
   logger : Logger.t;
+  (* Loggers were attached: build the per-call and per-instantiation
+     events for them. Profiling records into [rte_icc] and
+     [rte_inst_comm] directly either way. *)
+  listening : bool;
   rte_icc : Icc.t;
   rte_inst_comm : Inst_comm.t;
-  inst_classification : (int, int) Hashtbl.t;
-  raw_to_wrap : (int, int) Hashtbl.t;
-  wrap_to_raw : (int, int) Hashtbl.t;
+  create_iface : Icc.iface; (* "ICoCreateInstance", interned in [rte_icc] *)
+  (* Instance ids and handles are dense ints, so these maps are arrays;
+     -1 marks an absent entry. *)
+  inst_classification : Dense_map.t;
+  raw_to_wrap : Dense_map.t;
+  wrap_to_raw : Dense_map.t;
   mode : mode;
   mutable created : int list;  (* reversed *)
   mutable comm : float;
@@ -355,8 +362,10 @@ type t = {
   mutable fault_us : float;
   (* Lightweight per-classification-pair message counter, kept even in
      distributed mode (paper SS6: count messages "with only slight
-     additional overhead" so usage drift can be recognized). *)
-  pair_counts : (int * int, int ref) Hashtbl.t;
+     additional overhead" so usage drift can be recognized): pair ids
+     from [pair_index], counts by pair id. *)
+  pair_index : Key_index.t;
+  pair_counts : Dense_map.t;
   (* Observability, both [None] unless the install opted in; every use
      site is behind a match so an unobserved RTE runs the same
      instructions it always did. *)
@@ -389,9 +398,26 @@ let watch_seed seed = Prng.stream seed 3
    adding hosts never perturbs the jitter/retry/fault/watch draws. *)
 let host_fault_seed seed h = Prng.stream seed (8 + h)
 
-let classification_of t inst =
-  if inst = Runtime.main_instance then -1
-  else Option.value ~default:(-1) (Hashtbl.find_opt t.inst_classification inst)
+(* The main program and instances created before install have no
+   classification: -1. *)
+let classification_of t inst = Dense_map.get t.inst_classification inst
+
+(* The frame standing for the main program when the shadow stack is
+   empty: the caller of top-level calls, the creator of root
+   instances. *)
+let main_frame =
+  Frame.make ~inst:Runtime.main_instance ~cls:Runtime.main_class_name ~classification:(-1)
+    ~iface:"" ~meth:""
+
+let count_pair t ~caller_cls ~callee_cls =
+  let p = Key_index.intern t.pair_index caller_cls callee_cls 0 in
+  Dense_map.set t.pair_counts p (Dense_map.get t.pair_counts p + 1)
+
+(* One profiled call into the RTE's own summaries, recorded directly:
+   the classification-level histograms and the instance matrix. *)
+let record_profiled t ~caller ~caller_cls ~callee ~callee_cls iface ~remotable ~request ~reply =
+  Icc.record_interned t.rte_icc ~src:caller_cls ~dst:callee_cls iface ~remotable ~request ~reply;
+  Inst_comm.record_call t.rte_inst_comm ~caller ~callee ~request ~reply
 
 (* The virtual clock spans are timed on: accumulated communication time
    plus the compute the application has charged. Deterministic for a
@@ -997,36 +1023,37 @@ let round_trip t d ~model ~iface ~meth ~request_bytes ~reply_bytes =
     t.logger.Logger.log (Event.Call_retried { iface; meth; retries = oc.Fault.oc_retries });
   oc
 
-(* Mint (or reuse) the Coign-instrumented wrapper for a raw handle. *)
+(* Mint (or reuse) the Coign-instrumented wrapper for a raw handle. The
+   wrapper's interface name is interned in the RTE's ICC table once,
+   here, so a profiled call through it hashes no string. *)
 let rec wrap t raw_h =
   if Runtime.handle_is_wrapper t.ctx raw_h then raw_h
   else
-    match Hashtbl.find_opt t.raw_to_wrap raw_h with
-    | Some w -> w
-    | None ->
-        let itype = Runtime.handle_itype t.ctx raw_h in
-        let owner = Runtime.handle_owner t.ctx raw_h in
-        let w =
-          Runtime.alloc_foreign_handle t.ctx ~owner ~itype ~wrapper:true
-            (fun _ctx ~meth args -> intercept t raw_h ~meth args)
-        in
-        Hashtbl.add t.raw_to_wrap raw_h w;
-        Hashtbl.add t.wrap_to_raw w raw_h;
+    let w = Dense_map.get t.raw_to_wrap raw_h in
+    if w >= 0 then w
+    else begin
+      let itype = Runtime.handle_itype t.ctx raw_h in
+      let owner = Runtime.handle_owner t.ctx raw_h in
+      let iface = Icc.intern t.rte_icc (Itype.name itype) in
+      let w =
+        Runtime.alloc_foreign_handle t.ctx ~owner ~itype ~wrapper:true
+          (fun _ctx ~meth args -> intercept t raw_h iface ~meth args)
+      in
+      Dense_map.set t.raw_to_wrap raw_h w;
+      Dense_map.set t.wrap_to_raw w raw_h;
+      if t.listening then
         t.logger.Logger.log
           (Event.Interface_instantiated { owner; iface = Itype.name itype; handle = w });
-        w
+      w
+    end
 
-and intercept t raw_h ~meth args =
+and intercept t raw_h iface ~meth args =
   match t.obs_tracer with
-  | None -> intercept_run t raw_h ~meth args
+  | None -> intercept_run t raw_h iface ~meth args
   | Some tr ->
       let itype = Runtime.handle_itype t.ctx raw_h in
       let callee = Runtime.handle_owner t.ctx raw_h in
-      let caller =
-        match Shadow_stack.top t.stack with
-        | Some f -> f.Frame.f_inst
-        | None -> Runtime.main_instance
-      in
+      let caller = (Shadow_stack.top_or t.stack main_frame).Frame.f_inst in
       let msig = Itype.method_sig itype meth in
       let id =
         Trace.open_span tr
@@ -1034,7 +1061,7 @@ and intercept t raw_h ~meth args =
           ~cat:"call" ~at_us:(sim_now t)
       in
       let span_args = [ ("caller", Jsonu.Int caller); ("callee", Jsonu.Int callee) ] in
-      (match intercept_run t raw_h ~meth args with
+      (match intercept_run t raw_h iface ~meth args with
       | result ->
           Trace.close_span tr ~args:span_args id ~at_us:(sim_now t);
           result
@@ -1044,14 +1071,14 @@ and intercept t raw_h ~meth args =
             id ~at_us:(sim_now t);
           raise e)
 
-and intercept_run t raw_h ~meth args =
+and intercept_run t raw_h iface ~meth args =
   let itype = Runtime.handle_itype t.ctx raw_h in
   let callee = Runtime.handle_owner t.ctx raw_h in
-  let caller =
-    match Shadow_stack.top t.stack with
-    | Some f -> f.Frame.f_inst
-    | None -> Runtime.main_instance
-  in
+  (* The caller's frame carries the classification its instance got at
+     instantiation: no lookup. *)
+  let top = Shadow_stack.top_or t.stack main_frame in
+  let caller = top.Frame.f_inst in
+  let caller_classification = top.Frame.f_classification in
   let callee_classification = classification_of t callee in
   let msig = Itype.method_sig itype meth in
   Shadow_stack.push t.stack
@@ -1059,22 +1086,18 @@ and intercept_run t raw_h ~meth args =
        ~cls:(Runtime.instance_class_name t.ctx callee)
        ~classification:callee_classification ~iface:(Itype.name itype)
        ~meth:msig.Idl_type.mname);
-  let finally () = Shadow_stack.pop t.stack in
-  let outs, ret =
+  let ((outs, ret) as result) =
     match Runtime.call t.ctx raw_h ~meth args with
     | result ->
-        finally ();
+        Shadow_stack.pop t.stack;
         result
     | exception e ->
-        finally ();
+        Shadow_stack.pop t.stack;
         raise e
   in
   t.n_intercepted <- t.n_intercepted + 1;
   (match t.obs with None -> () | Some i -> Metrics.inc i.i_intercepted);
-  (let key = (classification_of t caller, callee_classification) in
-   match Hashtbl.find_opt t.pair_counts key with
-   | Some r -> incr r
-   | None -> Hashtbl.add t.pair_counts key (ref 1));
+  count_pair t ~caller_cls:caller_classification ~callee_cls:callee_classification;
   (match t.mode with
   | M_profiling ->
       let sizes = Informer.measure_call itype ~meth ~ins:args ~outs ~ret in
@@ -1083,32 +1106,35 @@ and intercept_run t raw_h ~meth args =
       | Some i ->
           Metrics.observe i.i_request_bytes sizes.Informer.request_bytes;
           Metrics.observe i.i_reply_bytes sizes.Informer.reply_bytes);
-      t.logger.Logger.log
-        (Event.Interface_call
-           {
-             caller;
-             caller_classification = classification_of t caller;
-             callee;
-             callee_classification;
-             iface = Itype.name itype;
-             meth = msig.Idl_type.mname;
-             remotable = sizes.Informer.remotable;
-             request_bytes = sizes.Informer.request_bytes;
-             reply_bytes = sizes.Informer.reply_bytes;
-           })
+      record_profiled t ~caller ~caller_cls:caller_classification ~callee
+        ~callee_cls:callee_classification iface ~remotable:sizes.Informer.remotable
+        ~request:sizes.Informer.request_bytes ~reply:sizes.Informer.reply_bytes;
+      if t.listening then
+        t.logger.Logger.log
+          (Event.Interface_call
+             {
+               caller;
+               caller_classification;
+               callee;
+               callee_classification;
+               iface = Itype.name itype;
+               meth = msig.Idl_type.mname;
+               remotable = sizes.Informer.remotable;
+               request_bytes = sizes.Informer.request_bytes;
+               reply_bytes = sizes.Informer.reply_bytes;
+             })
   | M_distributed d ->
       let m_factory = d.m_factory in
       (match d.m_watch with
       | None -> ()
       | Some w ->
           watch_observe t m_factory w ~kind:Tap.Call
-            ~caller_cls:(classification_of t caller) ~callee_cls:callee_classification
+            ~caller_cls:caller_classification ~callee_cls:callee_classification
             ~measure:(fun () ->
               let sizes = Informer.measure_call itype ~meth ~ins:args ~outs ~ret in
               sizes.Informer.request_bytes + sizes.Informer.reply_bytes));
       let src = Factory.machine_of m_factory caller in
       let dst = Factory.machine_of m_factory callee in
-      let caller_classification = classification_of t caller in
       (* A call crosses the wire when the endpoints live on different
          machines — or, under a pool, on different pool hosts. With no
          ladder the condition is exactly [src <> dst], so the
@@ -1242,21 +1268,11 @@ and intercept_run t raw_h ~meth args =
      distribution informer's "examine parameters only enough to
      identify interface pointers"; most methods skip the walk
      entirely). *)
-  let procs = Itype.procs itype meth in
-  let may_output_ifaces =
-    (not (Midl.iface_walk_trivial procs.Midl.ret_iface_proc))
-    || List.exists2
-         (fun (dir, _) iproc ->
-           match dir with
-           | Idl_type.In -> false
-           | Idl_type.Out | Idl_type.In_out -> not (Midl.iface_walk_trivial iproc))
-         procs.Midl.request_procs procs.Midl.iface_procs
-  in
-  if may_output_ifaces then begin
+  if (Itype.procs itype meth).Midl.outputs_ifaces then begin
     let rewrap v = Value.map_iface_handles (fun h -> wrap t h) v in
     (List.map rewrap outs, rewrap ret)
   end
-  else (outs, ret)
+  else result
 
 let rec on_create t (req : Runtime.create_request) =
   match t.obs_tracer with
@@ -1285,11 +1301,9 @@ and on_create_run t (req : Runtime.create_request) =
   let stack = Shadow_stack.walk t.stack in
   let cname = req.Runtime.req_class.Runtime.cname in
   let classification = Classifier.classify t.rte_classifier ~cname ~stack in
-  let creator =
-    match Shadow_stack.top t.stack with
-    | Some f -> f.Frame.f_inst
-    | None -> Runtime.main_instance
-  in
+  let top = Shadow_stack.top_or t.stack main_frame in
+  let creator = top.Frame.f_inst in
+  let creator_classification = top.Frame.f_classification in
   (match t.mode with
   | M_profiling -> ()
   | M_distributed d ->
@@ -1301,7 +1315,7 @@ and on_create_run t (req : Runtime.create_request) =
              (see [forwarded] below) whether or not it crosses
              machines; that pair of messages is its measured size. *)
           watch_observe t m_factory w ~kind:Tap.Create
-            ~caller_cls:(classification_of t creator) ~callee_cls:classification
+            ~caller_cls:creator_classification ~callee_cls:classification
             ~measure:(fun () ->
               (2 * Marshal_size.scalar_overhead) + (2 * 16) + Marshal_size.objref_size));
       let creator_machine = Factory.machine_of m_factory creator in
@@ -1350,7 +1364,7 @@ and on_create_run t (req : Runtime.create_request) =
                  to be down. *)
               let h =
                 if machine = Constraints.Server then pool_host p classification
-                else pool_host p (classification_of t creator)
+                else pool_host p creator_classification
               in
               if not (pool_admits t m_factory p ~host:h ~now:(sim_now t)) then degraded ()
               else begin
@@ -1366,58 +1380,60 @@ and on_create_run t (req : Runtime.create_request) =
       Factory.record_instance m_factory ~inst:(Runtime.instance_count t.ctx) machine);
   let raw = Runtime.raw_create_instance t.ctx req.Runtime.req_clsid ~iid:req.Runtime.req_iid in
   let inst = Runtime.handle_owner t.ctx raw in
-  Hashtbl.replace t.inst_classification inst classification;
+  Dense_map.set t.inst_classification inst classification;
   t.created <- inst :: t.created;
   (match t.obs with None -> () | Some i -> Metrics.inc i.i_instantiations);
-  t.logger.Logger.log
-    (Event.Component_instantiated { inst; cname; classification; creator });
+  if t.listening then
+    t.logger.Logger.log (Event.Component_instantiated { inst; cname; classification; creator });
   (* The instantiation request itself is communication: if creator and
      instance end up on different machines, the factory pays a round
      trip. Record it so the analysis engine prices relocated
      instantiations (and Table 5's model covers them). *)
   (match t.mode with
   | M_profiling ->
-      t.logger.Logger.log
-        (Event.Interface_call
-           {
-             caller = creator;
-             caller_classification = classification_of t creator;
-             callee = inst;
-             callee_classification = classification;
-             iface = "ICoCreateInstance";
-             meth = "create";
-             remotable = true;
-             request_bytes = Marshal_size.scalar_overhead + (2 * 16);
-             reply_bytes = Marshal_size.scalar_overhead + Marshal_size.objref_size;
-           })
+      let request = Marshal_size.scalar_overhead + (2 * 16) in
+      let reply = Marshal_size.scalar_overhead + Marshal_size.objref_size in
+      record_profiled t ~caller:creator ~caller_cls:creator_classification ~callee:inst
+        ~callee_cls:classification t.create_iface ~remotable:true ~request ~reply;
+      if t.listening then
+        t.logger.Logger.log
+          (Event.Interface_call
+             {
+               caller = creator;
+               caller_classification = creator_classification;
+               callee = inst;
+               callee_classification = classification;
+               iface = "ICoCreateInstance";
+               meth = "create";
+               remotable = true;
+               request_bytes = request;
+               reply_bytes = reply;
+             })
   | M_distributed _ -> ());
   wrap t raw
 
 let on_query t h ~iid =
-  let raw = Option.value ~default:h (Hashtbl.find_opt t.wrap_to_raw h) in
+  let raw = match Dense_map.get t.wrap_to_raw h with -1 -> h | raw -> raw in
   wrap t (Runtime.raw_query_interface t.ctx raw ~iid)
 
-let on_destroy t inst = t.logger.Logger.log (Event.Component_destroyed { inst })
+let on_destroy t inst =
+  if t.listening then t.logger.Logger.log (Event.Component_destroyed { inst })
 
 let install ?(loggers = []) ?tracer ?metrics ~classifier ~mode ctx =
   let rte_icc = Icc.create () in
-  let rte_inst_comm = Inst_comm.create () in
-  let base_loggers =
-    match mode with
-    | M_profiling -> Logger.profiling ~icc:rte_icc ~inst_comm:rte_inst_comm :: loggers
-    | M_distributed _ -> if loggers = [] then [ Logger.null ] else loggers
-  in
   let t =
     {
       ctx;
       rte_classifier = classifier;
       stack = Shadow_stack.create ();
-      logger = Logger.tee base_loggers;
+      logger = (match loggers with [] -> Logger.null | [ l ] -> l | ls -> Logger.tee ls);
+      listening = loggers <> [];
       rte_icc;
-      rte_inst_comm;
-      inst_classification = Hashtbl.create 256;
-      raw_to_wrap = Hashtbl.create 256;
-      wrap_to_raw = Hashtbl.create 256;
+      rte_inst_comm = Inst_comm.create ();
+      create_iface = Icc.intern rte_icc "ICoCreateInstance";
+      inst_classification = Dense_map.create ~absent:(-1);
+      raw_to_wrap = Dense_map.create ~absent:(-1);
+      wrap_to_raw = Dense_map.create ~absent:(-1);
       mode;
       created = [];
       comm = 0.;
@@ -1430,7 +1446,8 @@ let install ?(loggers = []) ?tracer ?metrics ~classifier ~mode ctx =
       n_fallbacks = 0;
       n_unreachable = 0;
       fault_us = 0.;
-      pair_counts = Hashtbl.create 256;
+      pair_index = Key_index.create 16;
+      pair_counts = Dense_map.create ~absent:0;
       obs_tracer = tracer;
       obs = Option.map make_instruments metrics;
     }
@@ -1614,8 +1631,7 @@ let inst_comm t = t.rte_inst_comm
 let classifier t = t.rte_classifier
 
 let instance_classifications t =
-  Hashtbl.fold (fun inst c acc -> (inst, c) :: acc) t.inst_classification []
-  |> List.sort compare
+  Dense_map.fold (fun inst c acc -> (inst, c) :: acc) t.inst_classification []
 
 let instances_created t = List.rev t.created
 
@@ -1623,7 +1639,15 @@ let factory t =
   match t.mode with M_profiling -> None | M_distributed { m_factory; _ } -> Some m_factory
 
 let call_counts t =
-  Hashtbl.fold (fun key r acc -> (key, !r) :: acc) t.pair_counts [] |> List.sort compare
+  let pair p = (Key_index.key_a t.pair_index p, Key_index.key_b t.pair_index p) in
+  let ids = Array.init (Key_index.length t.pair_index) Fun.id in
+  Array.sort
+    (fun p q ->
+      let (a, b) = pair p and (c, d) = pair q in
+      let o = Int.compare a c in
+      if o <> 0 then o else Int.compare b d)
+    ids;
+  Array.fold_right (fun p acc -> (pair p, Dense_map.get t.pair_counts p) :: acc) ids []
 
 let comm_us t = t.comm
 let remote_calls t = t.n_remote_calls

@@ -31,9 +31,14 @@ val install_profiling :
   classifier:Classifier.t ->
   Coign_com.Runtime.ctx ->
   t
-(** Instrument a context for scenario-based profiling. A profiling
-    logger feeding {!icc} and {!inst_comm} is always installed;
-    [loggers] are additional sinks (e.g. an event recorder).
+(** Instrument a context for scenario-based profiling. Every
+    intercepted call and instantiation round trip is recorded directly
+    into {!icc} and {!inst_comm}. [loggers] are sinks for the event
+    stream (e.g. an event recorder); the per-call and per-instantiation
+    events are built only when some are given, and the stream is the
+    same whichever are given. Replaying the recorded [Interface_call]
+    events through {!Logger.profiling} rebuilds {!icc} and
+    {!inst_comm}.
 
     [tracer] records a span per intercepted call (category ["call"],
     named [Iface.method]) and per instantiation (category ["create"],
@@ -273,7 +278,8 @@ val classification_of : t -> int -> int
     main program or instances created before installation. *)
 
 val instance_classifications : t -> (int * int) list
-(** [(instance, classification)] pairs, ascending by instance. *)
+(** [(instance, classification)] for every instance whose creation
+    this RTE intercepted, ascending by instance id. *)
 
 val instances_created : t -> int list
 (** Instances whose creation this RTE intercepted, ascending. *)
@@ -374,5 +380,6 @@ val call_counts : t -> ((int * int) * int) list
 (** Lightweight per-(caller classification, callee classification) call
     counts, maintained in both modes — the "slight additional overhead"
     message counting of paper §6 that lets the runtime recognize when
-    usage differs from the profiled scenarios (see {!Drift}). Sorted by
-    pair. *)
+    usage differs from the profiled scenarios (see {!Drift}). One entry
+    per pair that carried a call, ascending by caller classification,
+    then by callee classification (the main program's [-1] first). *)

@@ -13,7 +13,7 @@ let pop t =
       t.frames <- rest;
       t.n <- t.n - 1
 
-let top t = match t.frames with [] -> None | f :: _ -> Some f
+let top_or t base = match t.frames with [] -> base | f :: _ -> f
 
 let depth t = t.n
 

@@ -16,8 +16,10 @@ val pop : t -> unit
 (** Raises [Invalid_argument] on an empty stack (an unbalanced
     interception is a bug). *)
 
-val top : t -> Frame.t option
-(** The frame of the currently executing method, if any. *)
+val top_or : t -> Frame.t -> Frame.t
+(** [top_or t base] is the frame of the currently executing method, or
+    [base] on an empty stack (the RTE passes a frame standing for the
+    main program). *)
 
 val depth : t -> int
 

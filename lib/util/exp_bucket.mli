@@ -13,6 +13,9 @@ type t
 val create : unit -> t
 (** Empty histogram. *)
 
+val bucket_count : int
+(** Number of buckets; indices run from [0] to [bucket_count - 1]. *)
+
 val bucket_index : int -> int
 (** [bucket_index bytes] is the index of the range containing [bytes].
     Index 0 holds sizes 0..[base-1]; successive ranges double in width.
@@ -20,7 +23,7 @@ val bucket_index : int -> int
 
 val bucket_bounds : int -> int * int
 (** [bucket_bounds i] is the inclusive [(lo, hi)] byte range of bucket
-    [i]. *)
+    [i]. Requires [0 <= i < bucket_count]. *)
 
 val add : t -> bytes:int -> unit
 (** Record one message of [bytes] bytes. *)
@@ -29,6 +32,9 @@ val add_many : t -> bytes:int -> count:int -> unit
 (** Record [count] messages each of [bytes] bytes (used when merging
     already-summarized data; attributed to the bucket of [bytes] with
     [count * bytes] total). *)
+
+val add_into : t -> t -> unit
+(** [add_into dst src] adds [src]'s counts and bytes into [dst]. *)
 
 val merge : t -> t -> t
 (** Pointwise sum of two histograms; inputs are unchanged. *)

@@ -30,7 +30,42 @@ let test_figure3_descriptors () =
      (method V), dropping A::W. *)
   Alcotest.(check string) "epcb" "[D, [c13,Z], [c12,Y], [c11,X], [c10,V]]"
     (desc Classifier.Epcb);
-  Alcotest.(check string) "ib" "[D, c13]" (desc Classifier.Ib)
+  Alcotest.(check string) "ib" "[D, c13]" (desc Classifier.Ib);
+  (* A depth limit applies before entry points collapse: at depth 4 the
+     run of instance a is just its W frame. *)
+  let limited kind =
+    Classifier.descriptor (Classifier.create ~stack_depth:4 kind) ~cname:"D" ~stack
+  in
+  Alcotest.(check string) "epcb depth 4" "[D, [c13,Z], [c12,Y], [c11,X], [c10,W]]"
+    (limited Classifier.Epcb);
+  Alcotest.(check string) "stcb depth 4" "[D, C, B, B, A]" (limited Classifier.Stcb);
+  (* The main program instantiates with an empty stack. *)
+  let empty kind = Classifier.descriptor (Classifier.create kind) ~cname:"D" ~stack:[] in
+  List.iter
+    (fun (kind, expected) -> Alcotest.(check string) ("empty " ^ Classifier.kind_name kind) expected (empty kind))
+    [
+      (Classifier.Incremental, "[0]");
+      (Classifier.Pcb, "[D]");
+      (Classifier.St, "[D]");
+      (Classifier.Stcb, "[D]");
+      (Classifier.Ifcb, "[D]");
+      (Classifier.Epcb, "[D]");
+      (Classifier.Ib, "[D, root]");
+    ];
+  (* A frame of an instance that has no classification yet. *)
+  let unclassified = [ Frame.make ~inst:7 ~cls:"E" ~classification:(-1) ~iface:"IE" ~meth:"ctor" ] in
+  let one kind = Classifier.descriptor (Classifier.create kind) ~cname:"D" ~stack:unclassified in
+  List.iter
+    (fun (kind, expected) -> Alcotest.(check string) ("c-1 " ^ Classifier.kind_name kind) expected (one kind))
+    [
+      (Classifier.Incremental, "[0]");
+      (Classifier.Pcb, "[D, E::ctor]");
+      (Classifier.St, "[D]");
+      (Classifier.Stcb, "[D, E]");
+      (Classifier.Ifcb, "[D, [c-1,ctor]]");
+      (Classifier.Epcb, "[D, [c-1,ctor]]");
+      (Classifier.Ib, "[D, c-1]");
+    ]
 
 let test_incremental_orders () =
   let t = Classifier.create Classifier.Incremental in
@@ -139,6 +174,19 @@ let test_encode_decode_roundtrip () =
     (Classifier.lookup t ~cname:"D" ~stack)
     (Classifier.lookup t' ~cname:"D" ~stack)
 
+let test_decode_rejects_malformed () =
+  List.iter
+    (fun (what, text, msg) ->
+      Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+          ignore (Classifier.decode text)))
+    [
+      ("non-numeric count", "ifcb\nfull\n3\nx\tA\t[A]\n", "Classifier.decode: malformed row");
+      ("negative count", "ifcb\nfull\n3\n-2\tA\t[A]\n", "Classifier.decode: malformed row");
+      ("short row", "ifcb\nfull\n3\n1\t[A]\n", "Classifier.decode: malformed row");
+      ("non-numeric depth", "ifcb\nx\n3\n", "Classifier.decode: malformed header");
+      ("non-numeric order", "ifcb\nfull\nx\n", "Classifier.decode: malformed header");
+    ]
+
 let test_kind_names_roundtrip () =
   List.iter
     (fun k ->
@@ -177,6 +225,7 @@ let prop_encode_decode_stable =
 let suite =
   [
     Alcotest.test_case "figure 3 descriptors" `Quick test_figure3_descriptors;
+    Alcotest.test_case "decode rejects malformed text" `Quick test_decode_rejects_malformed;
     Alcotest.test_case "incremental orders" `Quick test_incremental_orders;
     Alcotest.test_case "ifcb groups equal contexts" `Quick test_ifcb_groups_equal_contexts;
     Alcotest.test_case "stack depth limits" `Quick test_stack_depth_limits;

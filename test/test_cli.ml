@@ -90,6 +90,51 @@ let test_trace_golden () =
              [ "trace"; img; "--scenario"; "b_addone"; "--format"; "spans"; "-o"; out ]);
         Alcotest.(check string) "span trace golden" (read_file golden) (read_file out))
 
+let test_events_golden () =
+  (* `coign trace --format events` on a profiling image pins the event
+     stream a listening logger receives, call by call. *)
+  let golden = "golden/events_benefits_addone.txt" in
+  if not (Sys.file_exists exe && Sys.file_exists golden) then Alcotest.skip ()
+  else
+    with_tmp (fun dir ->
+        let img = Filename.concat dir "ben.img" in
+        let out = Filename.concat dir "events.txt" in
+        check_ok "instrument" (run_cmd [ "instrument"; "--app"; "benefits"; "-o"; img ]);
+        check_ok "trace"
+          (run_cmd
+             [ "trace"; img; "--scenario"; "b_addone"; "--format"; "events"; "-o"; out ]);
+        Alcotest.(check string) "event trace golden" (read_file golden) (read_file out))
+
+let test_analyze_corrupt_icc () =
+  (* A profile whose ICC entry does not parse is a malformed input:
+     analyze reports it and exits 1 rather than crashing. *)
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    with_tmp (fun dir ->
+        let img = Filename.concat dir "oct.img" in
+        check_ok "instrument" (run_cmd [ "instrument"; "--app"; "octarine"; "-o"; img ]);
+        check_ok "profile" (run_cmd [ "profile"; img; "--scenario"; "o_oldwp0"; "-o"; img ]);
+        let image = Coign_image.Binary_image.load img in
+        let config = Option.get image.Coign_image.Binary_image.config in
+        let good = Option.get (Coign_image.Config_record.entry config Coign_core.Config_keys.icc) in
+        List.iteri
+          (fun i corrupt ->
+            let bad = Filename.concat dir (Printf.sprintf "bad%d.img" i) in
+            Coign_image.Binary_image.save
+              {
+                image with
+                Coign_image.Binary_image.config =
+                  Some (Coign_image.Config_record.set_entry config Coign_core.Config_keys.icc corrupt);
+              }
+              bad;
+            Alcotest.(check int) ("analyze exit on corrupt icc " ^ string_of_int i) 1
+              (run_cmd [ "analyze"; bad; "-o"; bad ]))
+          [
+            "calls x\n" ^ good;
+            good ^ "0\t1\tIFoo\t1\t0\tx\t5\n";
+            good ^ "0\t1\tIFoo\t1\t99\t2\t64\n";
+          ])
+
 let test_trace_chrome_and_metrics_parse () =
   if not (Sys.file_exists exe) then Alcotest.skip ()
   else
@@ -276,6 +321,8 @@ let suite =
     Alcotest.test_case "cli log/combine flow" `Slow test_log_combine_flow;
     Alcotest.test_case "cli error reporting" `Quick test_error_reporting;
     Alcotest.test_case "cli trace golden" `Slow test_trace_golden;
+    Alcotest.test_case "cli events golden" `Slow test_events_golden;
+    Alcotest.test_case "cli analyze rejects a corrupt icc entry" `Slow test_analyze_corrupt_icc;
     Alcotest.test_case "cli trace/metrics json" `Slow test_trace_chrome_and_metrics_parse;
     Alcotest.test_case "cli load golden octarine" `Slow test_load_golden_octarine;
     Alcotest.test_case "cli load golden ingest" `Slow test_load_golden_ingest;

@@ -15,15 +15,15 @@ let test_shadow_stack_order () =
   Shadow_stack.push s (frame 1 "a");
   Shadow_stack.push s (frame 2 "b");
   Alcotest.(check int) "depth" 2 (Shadow_stack.depth s);
-  (match Shadow_stack.top s with
-  | Some f -> Alcotest.(check int) "top" 2 f.Frame.f_inst
-  | None -> Alcotest.fail "empty");
+  let base = frame 0 "base" in
+  Alcotest.(check int) "top" 2 (Shadow_stack.top_or s base).Frame.f_inst;
   Alcotest.(check (list int)) "walk order" [ 2; 1 ]
     (List.map (fun f -> f.Frame.f_inst) (Shadow_stack.walk s));
   Alcotest.(check (list int)) "limited walk" [ 2 ]
     (List.map (fun f -> f.Frame.f_inst) (Shadow_stack.walk ~limit:1 s));
   Shadow_stack.pop s;
   Shadow_stack.pop s;
+  Alcotest.(check bool) "empty top is the base" true (Shadow_stack.top_or s base == base);
   Alcotest.check_raises "underflow" (Invalid_argument "Shadow_stack.pop: empty stack")
     (fun () -> Shadow_stack.pop s)
 
@@ -86,6 +86,41 @@ let prop_icc_codec_fixpoint =
         recs;
       let d = Icc.decode (Icc.encode icc) in
       Icc.call_count d = Icc.call_count icc && Icc.total_bytes d = Icc.total_bytes icc)
+
+(* Encodings of random tables are fixpoints of decode: the text names
+   each (bucket, count, bytes) cell exactly. *)
+let prop_icc_encoding_roundtrip =
+  QCheck.Test.make ~name:"icc decode/encode reproduces an encoding" ~count:200
+    QCheck.(
+      small_list
+        (pair
+           (triple (int_range (-1) 6) (int_range 0 6) (oneofl [ "IA"; "IB"; "ICoCreateInstance"; "I" ]))
+           (triple bool (int_bound 1_000_000) (int_bound 5000))))
+    (fun recs ->
+      let icc = Icc.create () in
+      List.iter
+        (fun ((src, dst, iface), (remotable, request, reply)) ->
+          Icc.record icc ~src ~dst ~iface ~remotable ~request ~reply)
+        recs;
+      let s = Icc.encode icc in
+      String.equal (Icc.encode (Icc.decode s)) s)
+
+let test_icc_decode_rejects_malformed () =
+  List.iter
+    (fun (what, text) ->
+      Alcotest.check_raises what (Invalid_argument "Icc.decode: malformed line") (fun () ->
+          ignore (Icc.decode text)))
+    [
+      ("non-numeric bytes", "calls 3\n0\t1\tIFoo\t1\t0\tx\t5\n");
+      ("non-numeric calls", "calls x\n");
+      ("bucket index past the last bucket", "calls 1\n0\t1\tIFoo\t1\t99\t2\t64\n");
+      ("negative bucket index", "calls 1\n0\t1\tIFoo\t1\t-1\t2\t64\n");
+      ("negative count", "calls 1\n0\t1\tIFoo\t1\t0\t-2\t5\n");
+      ("negative bytes", "calls 1\n0\t1\tIFoo\t1\t0\t2\t-5\n");
+      ("remotable flag not 0/1", "calls 1\n0\t1\tIFoo\t2\t0\t2\t5\n");
+      ("short line", "calls 1\n0\t1\tIFoo\t1\t0\t2\n");
+      ("long line", "calls 1\n0\t1\tIFoo\t1\t0\t2\t5\t9\n");
+    ]
 
 (* --- Inst_comm ------------------------------------------------------ *)
 
@@ -329,6 +364,8 @@ let suite =
     Alcotest.test_case "icc merge" `Quick test_icc_merge;
     Alcotest.test_case "icc codec preserves totals" `Quick test_icc_codec_preserves_totals;
     qtest prop_icc_codec_fixpoint;
+    qtest prop_icc_encoding_roundtrip;
+    Alcotest.test_case "icc decode rejects malformed lines" `Quick test_icc_decode_rejects_malformed;
     Alcotest.test_case "inst comm" `Quick test_inst_comm;
     Alcotest.test_case "comm vector shape" `Quick test_comm_vector_shape;
     Alcotest.test_case "comm vector self correlation" `Quick test_comm_vector_correlation_perfect;

@@ -12,6 +12,7 @@ let () =
       ("analysis", Test_analysis.suite);
       ("session", Test_session.suite);
       ("rte", Test_rte.suite);
+      ("profiling", Test_profiling.suite);
       ("fault", Test_fault.suite);
       ("resilience", Test_resilience.suite);
       ("fleet", Test_fleet.suite);
