@@ -20,17 +20,27 @@ open Coign_image
 open Coign_core
 open Coign_apps
 
-(* Report a user-facing error and exit 1. *)
-let fail fmt =
+(* Report a user-facing error and exit with [code]. *)
+let fail_with code fmt =
   Printf.ksprintf
     (fun msg ->
       Printf.eprintf "error: %s\n" msg;
-      exit 1)
+      exit code)
     fmt
 
-let load_image path =
+let fail fmt = fail_with 1 fmt
+
+(* A malformed image exits 1, or [code] for the commands whose exit 1
+   already means "the report has findings" (lint, verify). *)
+let load_image ?(code = 1) path =
   try Binary_image.load path
-  with Codec.Malformed why -> fail "IMAGE: malformed image (%s)" why
+  with Codec.Malformed why -> fail_with code "IMAGE: malformed image (%s)" why
+
+(* The exit statuses of the gating commands, for their --help. *)
+let gate_exits =
+  Cmd.Exit.info 1 ~doc:"when the report crosses the gating severity."
+  :: Cmd.Exit.info 2 ~doc:"when the image is malformed (truncated or corrupt)."
+  :: Cmd.Exit.defaults
 
 (* The typed failures of the analysis and simulation layers, reported
    as errors rather than escaping as uncaught exceptions. *)
@@ -266,7 +276,7 @@ let lint_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit diagnostics as a JSON array.")
   in
   let run image_path json strict =
-    let image = Binary_image.load image_path in
+    let image = load_image ~code:2 image_path in
     let diags = Lint.lint_image image in
     if json then print_endline (Lint.to_json diags)
     else if diags = [] then print_endline "no diagnostics"
@@ -275,12 +285,13 @@ let lint_cmd =
   in
   let term = Term.(const run $ image_arg $ json $ strict_arg) in
   Cmd.v
-    (Cmd.info "lint"
+    (Cmd.info "lint" ~exits:gate_exits
        ~doc:
          "Run the static remotability linter over an image: interface-flow analysis, \
           non-remotable interface checks, pin conflicts, and co-location constraints \
           (diagnostic codes CG000-CG007). Exits 1 when the report crosses the gating \
-          severity (errors; with $(b,--strict), warnings too).")
+          severity (errors; with $(b,--strict), warnings too), 2 when the image is \
+          malformed.")
     term
 
 (* verify ----------------------------------------------------------- *)
@@ -320,7 +331,7 @@ let verify_cmd =
     if pool_size < 1 || pool_size > V.Model.max_pool_size then
       fail "--pool must be in [1, %d]" V.Model.max_pool_size;
     check_jobs jobs;
-    let image = Binary_image.load image_path in
+    let image = load_image ~code:2 image_path in
     let classifier, icc =
       match Adps.load_profile image with
       | Some p -> p
@@ -477,14 +488,14 @@ let verify_cmd =
       $ strict_arg)
   in
   Cmd.v
-    (Cmd.info "verify"
+    (Cmd.info "verify" ~exits:gate_exits
        ~doc:
          "Exhaustively explore the image's failover interleavings — link faults, breaker \
           transitions, failover, migration, failback — against its fallback ladder, \
           checking that no reachable placement crosses a non-remotable interface (CG008), \
           no reachable migration moves a statically unsafe classification (CG009), and no \
           rung is dead (CG010). Exits 1 when the report crosses the gating severity \
-          (errors; with $(b,--strict), warnings too).")
+          (errors; with $(b,--strict), warnings too), 2 when the image is malformed.")
     term
 
 (* analyze ---------------------------------------------------------- *)
@@ -874,13 +885,19 @@ let trace_cmd =
       observed_run ~loggers:[ recorder ] ~tracer image scenario_id network
     in
     let spans = collected () in
-    let body =
+    let body, count, what =
       match format with
-      | `Chrome -> Coign_obs.Trace.chrome_json spans ^ "\n"
+      | `Chrome -> (Coign_obs.Trace.chrome_json spans ^ "\n", List.length spans, "spans")
       | `Spans ->
-          String.concat ""
-            (List.map (fun s -> Format.asprintf "%a\n" Coign_obs.Span.pp_line s) spans)
-      | `Events -> String.concat "" (List.map (fun e -> Event.to_line e ^ "\n") (events ()))
+          ( String.concat ""
+              (List.map (fun s -> Format.asprintf "%a\n" Coign_obs.Span.pp_line s) spans),
+            List.length spans,
+            "spans" )
+      | `Events ->
+          let events = events () in
+          ( String.concat "" (List.map (fun e -> Event.to_line e ^ "\n") events),
+            List.length events,
+            "events" )
     in
     match output with
     | None -> print_string body
@@ -888,7 +905,7 @@ let trace_cmd =
         let oc = open_out path in
         output_string oc body;
         close_out oc;
-        Printf.printf "wrote %d spans (%s run) to %s\n" (List.length spans) mode path
+        Printf.printf "wrote %d %s (%s run) to %s\n" count what mode path
   in
   let term = Term.(const run $ image_arg $ scenario_arg $ network_arg $ format_arg $ out_arg) in
   Cmd.v

@@ -1,23 +1,30 @@
 open Coign_idl
 
 type t = {
+  id : int;
   iid : Guid.t;
   iname : string;
   methods : Idl_type.method_sig array;
   procs : Midl.method_procs array;  (* compiled once, per method *)
+  qualified : string array;  (* "Iface.meth", per method *)
   remotable : bool;
 }
+
+let next_id = Atomic.make 0
 
 let declare iname methods =
   let methods = Array.of_list methods in
   {
+    id = Atomic.fetch_and_add next_id 1;
     iid = Guid.of_name ("IID_" ^ iname);
     iname;
     methods;
     procs = Array.map Midl.compile_method methods;
+    qualified = Array.map (fun m -> iname ^ "." ^ m.Idl_type.mname) methods;
     remotable = Array.for_all Idl_type.method_remotable methods;
   }
 
+let id t = t.id
 let iid t = t.iid
 let name t = t.iname
 let method_count t = Array.length t.methods
@@ -26,6 +33,13 @@ let method_sig t i =
   if i < 0 || i >= Array.length t.methods then
     invalid_arg (Printf.sprintf "Itype.method_sig: %s has no method %d" t.iname i);
   t.methods.(i)
+
+let method_name t i = (method_sig t i).Idl_type.mname
+
+let qualified_name t i =
+  if i < 0 || i >= Array.length t.qualified then
+    invalid_arg (Printf.sprintf "Itype.qualified_name: %s has no method %d" t.iname i);
+  t.qualified.(i)
 
 let method_index t mname =
   let rec find i =

@@ -159,22 +159,6 @@ let canonical_handle ctx inst iid =
           inst.inst_handles <- (iid, h) :: inst.inst_handles;
           h)
 
-let raw_create_instance ctx clsid ~iid =
-  match find_class ctx.reg clsid with
-  | None -> Hresult.fail (Hresult.E_noclass (Guid.to_string clsid))
-  | Some cls ->
-      grow_instances ctx;
-      let id = ctx.ninstances in
-      let inst =
-        { inst_id = id; inst_class = Some cls; inst_impl = []; inst_handles = []; inst_alive = true }
-      in
-      ctx.instances.(id) <- inst;
-      ctx.ninstances <- id + 1;
-      (* Constructor may itself create components; it runs with the
-         instance already visible so self-references work. *)
-      inst.inst_impl <- cls.constructor ctx id;
-      canonical_handle ctx inst iid
-
 (* Instantiation without registry lookup or handle allocation: the
    static prober (see {!Probe}) uses this to run a constructor it has
    already resolved and then inspect the implementation table. *)
@@ -186,8 +170,19 @@ let raw_instantiate ctx cls =
   in
   ctx.instances.(id) <- inst;
   ctx.ninstances <- id + 1;
+  (* Constructor may itself create components; it runs with the
+     instance already visible so self-references work. *)
   inst.inst_impl <- cls.constructor ctx id;
   id
+
+let raw_create_class ctx cls ~iid =
+  let id = raw_instantiate ctx cls in
+  canonical_handle ctx ctx.instances.(id) iid
+
+let raw_create_instance ctx clsid ~iid =
+  match find_class ctx.reg clsid with
+  | None -> Hresult.fail (Hresult.E_noclass (Guid.to_string clsid))
+  | Some cls -> raw_create_class ctx cls ~iid
 
 let create_instance ctx clsid ~iid =
   match ctx.create_hook with
@@ -243,6 +238,7 @@ let call_named ctx h mname args =
 let handle_itype ctx h = (get_handle ctx h).h_itype
 let handle_owner ctx h = (get_handle ctx h).h_owner
 let handle_is_wrapper ctx h = (get_handle ctx h).h_wrapper
+let handle_dispatch ctx h = (get_handle ctx h).h_dispatch
 
 let instance_class_name ctx id =
   match (get_instance ctx id).inst_class with

@@ -92,6 +92,11 @@ val raw_create_instance : ctx -> Guid.t -> iid:Guid.t -> handle
 (** Instantiate bypassing the hook (what the hook itself calls to
     perform the real local instantiation). Runs the class constructor. *)
 
+val raw_create_class : ctx -> component_class -> iid:Guid.t -> handle
+(** {!raw_create_instance} for an already-resolved class — the hook's
+    request carries it ([req_class]), so the RTE skips a second registry
+    lookup. *)
+
 val raw_instantiate : ctx -> component_class -> instance_id
 (** Run [cls]'s constructor on a fresh instance and return its id
     without negotiating an interface handle. Used by the static prober
@@ -126,6 +131,13 @@ val call_named :
 val handle_itype : ctx -> handle -> Itype.t
 val handle_owner : ctx -> handle -> instance_id
 val handle_is_wrapper : ctx -> handle -> bool
+
+val handle_dispatch : ctx -> handle -> dispatch
+(** The implementation behind a handle. {!call} runs it after checking
+    the handle, the instance's liveness and the method index; the RTE
+    captures a raw handle's dispatch in its wrapper, whose own {!call}
+    has already made those checks for the same instance and
+    interface. *)
 
 val alloc_foreign_handle :
   ctx -> owner:instance_id -> itype:Itype.t -> wrapper:bool -> dispatch -> handle

@@ -26,6 +26,14 @@ val of_weights : ((int * int) * float) list -> signature
     an exponentially-decayed observation window. Non-positive weights
     are dropped; duplicate pairs accumulate. *)
 
+val create : unit -> signature
+(** An empty signature, to fill with {!add}. *)
+
+val add : signature -> int * int -> float -> unit
+(** [add s pair w] is one step of {!of_weights}: a non-positive weight
+    is dropped, a repeated pair accumulates. [of_weights ws] is
+    [create ()] followed by [add] over [ws] in order. *)
+
 val entries : signature -> ((int * int) * float) list
 (** The signature's (pair, weight) cells, sorted by pair — a
     deterministic inverse of {!of_weights}. *)

@@ -18,7 +18,18 @@
 
     Two personalities, as in the paper: the profiling RTE (heavyweight
     informer + profiling logger) and the distributed RTE (lightweight
-    informer + component factory + null logger). *)
+    informer + component factory + null logger).
+
+    The per-call path is cheap by construction. A wrapper captures the
+    raw implementation, the interface, the owning instance and the
+    classification it got at creation, so a call reads no handle entry;
+    a shadow-stack frame is three ints (instance, classification, call
+    site), and a full {!Frame.t} is built only when a classifier builds
+    a descriptor ({!Classifier.classify_stack}, which keys repeated
+    instantiation contexts by int). A same-host distributed call
+    allocates nothing of its own beyond the stack push; a crossing call
+    builds no closure; the watch observes into an allocation-free
+    {!Window}. *)
 
 type t
 

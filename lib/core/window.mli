@@ -9,16 +9,20 @@
     as much as one observed now.
 
     Pairs named at creation — in practice, the abstract ICC graph's
-    pairs, in pair-id order — live in flat arrays so the watch loop can
-    turn the window into an {!Icc_graph.price_scaled_into} scale vector
-    without allocation games; pairs the profile never saw (fresh
-    classifications at run time) accumulate on the side and surface in
-    the drift signature.
+    pairs, in pair-id order — are the first slots of flat float arrays
+    indexed by a dense pair id, so the watch loop can turn the window
+    into an {!Icc_graph.price_scaled_into} scale vector without
+    allocation games; pairs the profile never saw (fresh
+    classifications at run time) take the next ids and surface in the
+    drift signature.
 
     Decay is per-cell and lazy (each cell remembers its own last-update
-    time), so an observation costs O(1) and reads are pure: snapshots at
-    [now_us] never mutate the window. Everything is deterministic — no
-    wall clock, no randomness. *)
+    time), so an observation costs O(1): one int-keyed lookup, one
+    decay factor shared by the count and the bytes, no allocation once
+    the pair has an id. Reads are pure — snapshots at [now_us] never
+    change what later reads return — and the reads of one instant share
+    one decay per cell. Everything is deterministic — no wall clock, no
+    randomness. *)
 
 type t
 

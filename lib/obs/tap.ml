@@ -46,14 +46,15 @@ let accept t =
      the decision draws from no PRNG shared with the run itself. *)
   t.t_every = 1 || Coign_util.Prng.int t.t_rng t.t_every = 0
 
-let emit t obs =
+(* The observation record is built only for a sink that reads it. *)
+let emit t ~at_us ~kind ~caller ~callee ~bytes =
   t.t_sampled <- t.t_sampled + 1;
-  t.t_sink.push obs
+  if t.t_sink != null_sink then
+    t.t_sink.push
+      { ob_at_us = at_us; ob_kind = kind; ob_caller = caller; ob_callee = callee; ob_bytes = bytes }
 
 let offer t ~at_us ~kind ~caller ~callee ~bytes =
-  if accept t then
-    emit t
-      { ob_at_us = at_us; ob_kind = kind; ob_caller = caller; ob_callee = callee; ob_bytes = bytes }
+  if accept t then emit t ~at_us ~kind ~caller ~callee ~bytes
 
 let offered t = t.t_offered
 let sampled t = t.t_sampled

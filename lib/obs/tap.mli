@@ -54,8 +54,9 @@ val accept : t -> bool
     measurement (message-size walks) to the selected observations
     only. A [true] result should be followed by exactly one {!emit}. *)
 
-val emit : t -> obs -> unit
-(** Push a fully-measured observation that {!accept} selected. *)
+val emit : t -> at_us:float -> kind:kind -> caller:int -> callee:int -> bytes:int -> unit
+(** Push a fully-measured observation that {!accept} selected. The
+    {!obs} record is built only when the sink is not {!null_sink}. *)
 
 val offered : t -> int
 (** Observations offered so far. *)

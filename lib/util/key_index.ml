@@ -11,27 +11,33 @@ let create n =
   done;
   { keys = Array.make (3 * max 8 n) 0; n = 0; slots = Array.make !cap (-1) }
 
-let hash a b c =
+let[@inline] hash a b c =
   let h = (a * 0x2545F491) + b in
   let h = (h * 0x9E3779B1) + c in
   let h = h lxor (h lsr 17) in
   let h = h * 0x85EBCA6B in
   h lxor (h lsr 31)
 
-(* Linear probe from slot [i] (a top-level function, so a lookup
-   allocates no closure). *)
-let rec probe slots keys mask a b c i =
-  let id = Array.unsafe_get slots i in
-  if id < 0 then i
-  else
-    let k = 3 * id in
-    if keys.(k) = a && keys.(k + 1) = b && keys.(k + 2) = c then i
-    else probe slots keys mask a b c ((i + 1) land mask)
-
-(* Slot holding [(a, b, c)], or the empty slot where it would go. *)
-let slot t a b c =
-  let mask = Array.length t.slots - 1 in
-  probe t.slots t.keys mask a b c (hash a b c land mask)
+(* Slot holding [(a, b, c)], or the empty slot where it would go: a
+   linear probe in one loop, so a lookup calls nothing and allocates
+   nothing. *)
+let[@inline] slot t a b c =
+  let slots = t.slots and keys = t.keys in
+  let mask = Array.length slots - 1 in
+  let i = ref (hash a b c land mask) in
+  let searching = ref true in
+  while !searching do
+    let id = Array.unsafe_get slots !i in
+    if id < 0 then searching := false
+    else
+      let k = 3 * id in
+      if Array.unsafe_get keys k = a
+         && Array.unsafe_get keys (k + 1) = b
+         && Array.unsafe_get keys (k + 2) = c
+      then searching := false
+      else i := (!i + 1) land mask
+  done;
+  !i
 
 let find t a b c = t.slots.(slot t a b c)
 

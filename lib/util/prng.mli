@@ -6,6 +6,8 @@
     that repeated runs produce identical tables. *)
 
 type t
+(** Mutable generator state, kept unboxed: a draw that returns an
+    [int], a [float] or a [bool] allocates no [int64]. *)
 
 val create : int64 -> t
 (** [create seed] returns a fresh generator. Equal seeds yield equal

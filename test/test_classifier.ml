@@ -222,6 +222,54 @@ let prop_encode_decode_stable =
       let t' = Classifier.decode (Classifier.encode t) in
       Classifier.lookup t' ~cname:"D" ~stack:frames = Classifier.lookup t ~cname:"D" ~stack:frames)
 
+(* The int-keyed memo against the descriptor path: one random run of
+   pushes, pops and instantiations drives a memo'd classifier through a
+   live shadow stack and a plain one through the materialized frames;
+   every classification, and the final encoded state (counts and
+   ordinal included), must agree. Instances 0 and 4 are unclassified;
+   a classified instance's class follows its classification, as in the
+   RTE (a classification's descriptor names its class). Instances 2 and
+   3 share a classification, so only the run boundaries tell their
+   frames apart; two sites share each method name. *)
+let inst_classification = [| -1; 0; 1; 1; -1; 2 |]
+let pushed = [| 2; 3; 2; 3; 1; 4; 0; 5 |]
+
+let inst_class i =
+  let c = inst_classification.(i) in
+  if c >= 0 then Printf.sprintf "K%d" (c mod 2) else Printf.sprintf "U%d" i
+
+let prop_memo_matches_descriptors =
+  let configs =
+    List.concat_map
+      (fun kind -> List.map (fun depth -> (kind, depth)) [ None; Some 1; Some 2; Some 3 ])
+      Classifier.all_kinds
+  in
+  QCheck.Test.make ~name:"memo'd classify_stack == classify on the walked frames" ~count:1000
+    QCheck.(pair (oneofl configs) (list_of_size (Gen.int_range 0 60) (int_bound 23)))
+    (fun ((kind, stack_depth), ops) ->
+      let memoed = Classifier.create ?stack_depth kind in
+      let plain = Classifier.create ?stack_depth kind in
+      let memo = Classifier.memo memoed in
+      let stack = Shadow_stack.create () in
+      let frame ~inst ~classification ~site =
+        Frame.make ~inst ~cls:(inst_class inst) ~classification ~iface:"I"
+          ~meth:(Printf.sprintf "m%d" (site mod 2))
+      in
+      let agree = ref true in
+      List.iter
+        (fun op ->
+          if op < 16 then
+            let inst = pushed.(op mod 8) in
+            Shadow_stack.push stack ~inst ~classification:inst_classification.(inst) ~site:(op / 8)
+          else if op < 20 then (if Shadow_stack.depth stack > 0 then Shadow_stack.pop stack)
+          else
+            let cname = if op < 22 then "D" else "E" in
+            let a = Classifier.classify_stack memo ~cname stack ~frame in
+            let b = Classifier.classify plain ~cname ~stack:(Shadow_stack.walk stack ~frame) in
+            if a <> b then agree := false)
+        ops;
+      !agree && Classifier.encode memoed = Classifier.encode plain)
+
 let suite =
   [
     Alcotest.test_case "figure 3 descriptors" `Quick test_figure3_descriptors;
@@ -239,4 +287,5 @@ let suite =
     Alcotest.test_case "kind names roundtrip" `Quick test_kind_names_roundtrip;
     qtest prop_classify_deterministic;
     qtest prop_encode_decode_stable;
+    qtest prop_memo_matches_descriptors;
   ]

@@ -105,6 +105,65 @@ let test_events_golden () =
              [ "trace"; img; "--scenario"; "b_addone"; "--format"; "events"; "-o"; out ]);
         Alcotest.(check string) "event trace golden" (read_file golden) (read_file out))
 
+(* A benefits image profiled over every non-bigone scenario and analyzed
+   on ethernet10: the distributed-mode trace surfaces. *)
+let benefits_distributed dir =
+  let img = Filename.concat dir "ben.img" in
+  check_ok "instrument" (run_cmd [ "instrument"; "--app"; "benefits"; "-o"; img ]);
+  List.iter
+    (fun sc -> check_ok ("profile " ^ sc) (run_cmd [ "profile"; img; "--scenario"; sc; "-o"; img ]))
+    [ "b_vueone"; "b_addone"; "b_delone" ];
+  check_ok "analyze" (run_cmd [ "analyze"; img; "--network"; "ethernet10"; "-o"; img ]);
+  img
+
+let test_distributed_trace_goldens () =
+  (* Spans and the event stream of a distributed run, call by call:
+     the distributed interception path's observable output. *)
+  let goldens =
+    [ ("spans", "golden/trace_dist_benefits_addone.txt");
+      ("events", "golden/events_dist_benefits_addone.txt") ]
+  in
+  if not (Sys.file_exists exe && List.for_all (fun (_, g) -> Sys.file_exists g) goldens) then
+    Alcotest.skip ()
+  else
+    with_tmp (fun dir ->
+        let img = benefits_distributed dir in
+        List.iter
+          (fun (format, golden) ->
+            let out = Filename.concat dir (format ^ ".txt") in
+            check_ok ("trace " ^ format)
+              (run_cmd
+                 [ "trace"; img; "--scenario"; "b_addone"; "--format"; format; "-o"; out ]);
+            Alcotest.(check string) (format ^ " golden") (read_file golden) (read_file out))
+          goldens)
+
+let test_trace_reports_what_it_wrote () =
+  (* The confirmation line counts what the file holds: spans for the
+     span formats, events for the event stream. *)
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    with_tmp (fun dir ->
+        let img = benefits_distributed dir in
+        let msg = Filename.concat dir "msg.txt" in
+        List.iter
+          (fun (format, what) ->
+            let out = Filename.concat dir (format ^ ".out") in
+            let rc =
+              Sys.command
+                (Filename.quote_command exe
+                   [ "trace"; img; "--scenario"; "b_addone"; "--format"; format; "-o"; out ]
+                ^ " > " ^ Filename.quote msg)
+            in
+            check_ok ("trace " ^ format) rc;
+            let lines =
+              List.length
+                (List.filter (fun l -> l <> "") (String.split_on_char '\n' (read_file out)))
+            in
+            Alcotest.(check string) (format ^ " count")
+              (Printf.sprintf "wrote %d %s (distributed run) to %s\n" lines what out)
+              (read_file msg))
+          [ ("events", "events"); ("spans", "spans") ])
+
 let test_analyze_corrupt_icc () =
   (* A profile whose ICC entry does not parse is a malformed input:
      analyze reports it and exits 1 rather than crashing. *)
@@ -282,6 +341,40 @@ let test_grid_malformed_images () =
               grid_presets)
           [ truncated; random ])
 
+let test_gates_malformed_images () =
+  (* lint and verify exit 1 on findings, so an image they cannot read
+     is a distinct status: 2, with the shared malformed-image message.
+     One image is truncated, the other has a bit flipped in its magic. *)
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else
+    with_tmp (fun dir ->
+        let img = Filename.concat dir "oct.img" in
+        check_ok "instrument" (run_cmd [ "instrument"; "--app"; "octarine"; "-o"; img ]);
+        check_ok "profile" (run_cmd [ "profile"; img; "--scenario"; "o_oldwp0"; "-o"; img ]);
+        let whole = read_file img in
+        let truncated = Filename.concat dir "truncated.img" in
+        write_file truncated (String.sub whole 0 300);
+        let flipped = Filename.concat dir "flipped.img" in
+        write_file flipped
+          (String.mapi (fun i c -> if i = 4 then Char.chr (Char.code c lxor 0x10) else c) whole);
+        let err = Filename.concat dir "err.txt" in
+        List.iter
+          (fun bad ->
+            List.iter
+              (fun cmd ->
+                let rc =
+                  Sys.command
+                    (Filename.quote_command exe [ cmd; bad ] ^ " > /dev/null 2> "
+                   ^ Filename.quote err)
+                in
+                let what = Printf.sprintf "%s %s" cmd (Filename.basename bad) in
+                Alcotest.(check int) (what ^ " exits 2") 2 rc;
+                Alcotest.(check bool) (what ^ " names the malformed image") true
+                  (String.starts_with ~prefix:"error: IMAGE: malformed image ("
+                     (read_file err)))
+              [ "lint"; "verify" ])
+          [ truncated; flipped ])
+
 let test_grid_rejects_bad_jitter_and_windows () =
   (* Negative or non-finite jitter is refused by the RTE, and
      non-finite window options by the shared front end; both exit 1. *)
@@ -322,6 +415,8 @@ let suite =
     Alcotest.test_case "cli error reporting" `Quick test_error_reporting;
     Alcotest.test_case "cli trace golden" `Slow test_trace_golden;
     Alcotest.test_case "cli events golden" `Slow test_events_golden;
+    Alcotest.test_case "cli distributed trace goldens" `Slow test_distributed_trace_goldens;
+    Alcotest.test_case "cli trace reports what it wrote" `Slow test_trace_reports_what_it_wrote;
     Alcotest.test_case "cli analyze rejects a corrupt icc entry" `Slow test_analyze_corrupt_icc;
     Alcotest.test_case "cli trace/metrics json" `Slow test_trace_chrome_and_metrics_parse;
     Alcotest.test_case "cli load golden octarine" `Slow test_load_golden_octarine;
@@ -329,6 +424,8 @@ let suite =
     Alcotest.test_case "cli watch golden octarine" `Slow test_watch_golden_octarine;
     Alcotest.test_case "cli grid presets reject malformed images" `Slow
       test_grid_malformed_images;
+    Alcotest.test_case "cli lint and verify exit 2 on malformed images" `Slow
+      test_gates_malformed_images;
     Alcotest.test_case "cli grid presets reject bad jitter and windows" `Slow
       test_grid_rejects_bad_jitter_and_windows;
   ]

@@ -375,6 +375,44 @@ let test_tablefmt_cells () =
   Alcotest.(check string) "float" "1.50" (Tablefmt.cell_float ~decimals:2 1.5);
   Alcotest.(check string) "pct" "95%" (Tablefmt.cell_pct 0.95)
 
+(* [Prng] against the boxed-state oracle in [Prng_oracle]: every draw
+   kind, interleaved in a seeded order, bit for bit. *)
+let prop_prng_matches_oracle =
+  QCheck.Test.make ~name:"prng draws == boxed-state oracle, bit for bit" ~count:300
+    QCheck.(pair int64 (small_list (int_bound 9)))
+    (fun (seed, ops) ->
+      let p = Prng.create seed and o = Prng_oracle.create seed in
+      let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b in
+      let draw (p, o) op =
+        match op with
+        | 0 -> Prng.next_int64 p = Prng_oracle.next_int64 o
+        | 1 ->
+            List.for_all
+              (fun bound -> Prng.int p bound = Prng_oracle.int o bound)
+              [ 1; 2; 7; 1000; max_int ]
+        | 2 -> same_float (Prng.float p 3.5) (Prng_oracle.float o 3.5)
+        | 3 -> Prng.bool p = Prng_oracle.bool o
+        | 4 ->
+            same_float (Prng.gaussian p ~mu:2. ~sigma:0.3)
+              (Prng_oracle.gaussian o ~mu:2. ~sigma:0.3)
+        | 5 -> same_float (Prng.exponential p ~mean:40.) (Prng_oracle.exponential o ~mean:40.)
+        | 6 ->
+            let a = Array.init 17 Fun.id and b = Array.init 17 Fun.id in
+            Prng.shuffle p a;
+            Prng_oracle.shuffle o b;
+            a = b && Prng.choose p a = Prng_oracle.choose o b
+        | 7 ->
+            let i = Prng.int p 50 in
+            i = Prng_oracle.int o 50 && Prng.stream seed i = Prng_oracle.stream seed i
+        | _ ->
+            let p' = Prng.split p and o' = Prng_oracle.split o in
+            let c = Prng.copy p' and c' = Prng_oracle.copy o' in
+            Prng.next_int64 p' = Prng_oracle.next_int64 o'
+            && Prng.next_int64 c = Prng_oracle.next_int64 c'
+            && Prng.next_int64 p = Prng_oracle.next_int64 o
+      in
+      List.for_all (draw (p, o)) (ops @ [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ]))
+
 let suite =
   [
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
@@ -385,6 +423,7 @@ let suite =
     Alcotest.test_case "prng exponential mean" `Quick test_prng_exponential_mean;
     Alcotest.test_case "prng split independent" `Quick test_prng_split_independent;
     Alcotest.test_case "prng shuffle permutes" `Quick test_prng_shuffle_permutes;
+    qtest prop_prng_matches_oracle;
     Alcotest.test_case "bucket bounds contiguous" `Quick test_bucket_bounds_contiguous;
     Alcotest.test_case "bucket index within bounds" `Quick test_bucket_index_within_bounds;
     Alcotest.test_case "bucket counts" `Quick test_bucket_counts;

@@ -108,14 +108,82 @@ let test_tap_accept_emit_split () =
   for i = 1 to 100 do
     if Tap.accept tap then begin
       incr measured;
-      Tap.emit tap
-        { Tap.ob_at_us = float_of_int i; ob_kind = Tap.Create; ob_caller = -1;
-          ob_callee = 0; ob_bytes = i }
+      Tap.emit tap ~at_us:(float_of_int i) ~kind:Tap.Create ~caller:(-1) ~callee:0 ~bytes:i
     end
   done;
   Alcotest.(check int) "offered" 100 (Tap.offered tap);
   Alcotest.(check int) "measurement only for accepted" !measured (Tap.sampled tap);
   Alcotest.(check int) "sink matches" !measured (List.length (read ()))
+
+(* --- Window against the tuple-keyed oracle -------------------------- *)
+
+module Oracle = Window_oracle
+
+(* A random stream over classifications -1..5 into a window whose slots
+   are four of their pairs: observations and [add_bytes] interleaved,
+   time mostly advancing (sometimes standing still or stepping back),
+   pairs outside the slots included. At a few instants every read must
+   equal the oracle's bit for bit; [Drift.similarity] sums in its
+   tables' iteration order, so equal similarities also pin the order in
+   which the signatures were built. *)
+let prop_window_matches_oracle =
+  let op =
+    QCheck.Gen.(
+      quad (int_bound 9) (int_range (-1) 5) (int_range (-1) 5) (int_bound 3)
+      |> map (fun (kind, a, b, step) -> (kind, a, b, step)))
+  in
+  QCheck.Test.make ~name:"window reads == tuple-keyed oracle, bit for bit" ~count:300
+    (QCheck.make QCheck.Gen.(pair (oneofl [ 64.; 150. ]) (list_size (int_range 0 120) op)))
+    (fun (half_life_us, ops) ->
+      let pairs = [| (0, 1); (1, 2); (-1, 0); (3, 3) |] in
+      let w = Window.create ~half_life_us ~pairs and o = Oracle.create ~half_life_us ~pairs in
+      let base =
+        Drift.of_weights [ ((0, 1), 3.); ((-1, 0), 1.5); ((2, 4), 0.25); ((5, 5), 2.) ]
+      in
+      let now = ref 0. in
+      let bits a b = Int64.bits_of_float a = Int64.bits_of_float b in
+      let same_floats a b = Array.length a = Array.length b && Array.for_all2 bits a b in
+      let same_pairs a b =
+        List.length a = List.length b
+        && List.for_all2 (fun (k, x) (k', y) -> k = k' && bits x y) a b
+      in
+      let agree now_us =
+        let sw = Window.signature_at w ~now_us and so = Oracle.signature_at o ~now_us in
+        let bw = Window.byte_signature_at w ~now_us
+        and bo = Oracle.byte_signature_at o ~now_us in
+        same_floats (Window.counts_at w ~now_us) (Oracle.counts_at o ~now_us)
+        && same_floats (Window.bytes_at w ~now_us) (Oracle.bytes_at o ~now_us)
+        && same_pairs (Window.extras_at w ~now_us) (Oracle.extras_at o ~now_us)
+        && bits (Window.total_at w ~now_us) (Oracle.total_at o ~now_us)
+        && bits (Window.byte_total_at w ~now_us) (Oracle.byte_total_at o ~now_us)
+        && same_pairs (Drift.entries sw) (Drift.entries so)
+        && same_pairs (Drift.entries bw) (Drift.entries bo)
+        && bits (Drift.similarity base sw) (Drift.similarity base so)
+        && bits (Drift.similarity sw base) (Drift.similarity so base)
+        && bits (Drift.similarity sw bw) (Drift.similarity so bo)
+        && Window.observed w = Oracle.observed o
+        && Window.byte_observed w = Oracle.byte_observed o
+        && Window.extra_pairs w = Oracle.extra_pairs o
+      in
+      List.for_all
+        (fun (kind, caller, callee, step) ->
+          (now := !now +. match step with 0 -> 0. | 1 -> 17.5 | 2 -> 64. | _ -> -3.);
+          let at_us = !now and bytes = (kind * 37) mod 5 * 100 in
+          (* A read just before an update at the same instant: no stale
+             snapshot may survive the update. *)
+          let probe = kind <= 1 || kind = 7 in
+          let before = (not probe) || agree at_us in
+          if kind < 7 then begin
+            Window.observe w ~at_us ~caller ~callee ~bytes;
+            Oracle.observe o ~at_us ~caller ~callee ~bytes
+          end
+          else begin
+            Window.add_bytes w ~at_us ~caller ~callee ~bytes;
+            Oracle.add_bytes o ~at_us ~caller ~callee ~bytes
+          end;
+          before && ((not probe) || (agree at_us && agree (at_us +. 100.))))
+        ops
+      && agree (!now +. 1.))
 
 (* --- Scaled re-pricing through the session -------------------------- *)
 
@@ -334,6 +402,7 @@ let suite =
     Alcotest.test_case "window extras and signatures" `Quick
       test_window_extras_and_signature;
     Alcotest.test_case "window rejects bad args" `Quick test_window_rejects_bad_args;
+    QCheck_alcotest.to_alcotest prop_window_matches_oracle;
     Alcotest.test_case "tap keeps everything by default" `Quick test_tap_keep_everything;
     Alcotest.test_case "tap sampling deterministic" `Quick test_tap_sampling_deterministic;
     Alcotest.test_case "tap accept/emit split" `Quick test_tap_accept_emit_split;
