@@ -40,12 +40,37 @@ let rec iface_handles = function
   | Arr vs -> List.concat_map iface_handles vs
   | Struct fvs -> List.concat_map (fun (_, v) -> iface_handles v) fvs
 
-let rec map_iface_handles f = function
-  | (Unit | Int _ | Float _ | Bool _ | Str _ | Blob _ | Null | Opaque_handle _) as v -> v
-  | Iface_ref h -> Iface_ref (f h)
-  | Ref v -> Ref (map_iface_handles f v)
-  | Arr vs -> Arr (List.map (map_iface_handles f) vs)
-  | Struct fvs -> Struct (List.map (fun (name, v) -> (name, map_iface_handles f v)) fvs)
+(* Left to right, sharing every part that [f] leaves unchanged. *)
+let rec map_iface_handles f v =
+  match v with
+  | Unit | Int _ | Float _ | Bool _ | Str _ | Blob _ | Null | Opaque_handle _ -> v
+  | Iface_ref h ->
+      let h' = f h in
+      if h' = h then v else Iface_ref h'
+  | Ref x ->
+      let x' = map_iface_handles f x in
+      if x' == x then v else Ref x'
+  | Arr vs ->
+      let vs' = map_iface_handles_list f vs in
+      if vs' == vs then v else Arr vs'
+  | Struct fvs ->
+      let fvs' = map_fields f fvs in
+      if fvs' == fvs then v else Struct fvs'
+
+and map_iface_handles_list f = function
+  | [] -> []
+  | x :: rest as l ->
+      let x' = map_iface_handles f x in
+      let rest' = map_iface_handles_list f rest in
+      if x' == x && rest' == rest then l else x' :: rest'
+
+and map_fields f = function
+  | [] -> []
+  | ((name, x) as field) :: rest as l ->
+      let x' = map_iface_handles f x in
+      let rest' = map_fields f rest in
+      if x' == x && rest' == rest then l
+      else (if x' == x then field else (name, x')) :: rest'
 
 let rec pp ppf = function
   | Unit -> Format.pp_print_string ppf "()"

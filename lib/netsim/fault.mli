@@ -90,7 +90,7 @@ type outcome = {
 
 val call :
   ?model:t ->
-  ?retry:retry_policy ->
+  retry:retry_policy ->
   rng:Coign_util.Prng.t ->
   now_us:float ->
   request_bytes:int ->

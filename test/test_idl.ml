@@ -103,8 +103,27 @@ let test_iface_handles () =
 
 let test_map_iface_handles () =
   let v = Value.Arr [ Value.Iface_ref 1; Value.Str "s"; Value.Ref (Value.Iface_ref 2) ] in
-  let v' = Value.map_iface_handles (fun h -> h * 10) v in
-  Alcotest.(check (list int)) "mapped" [ 10; 20 ] (Value.iface_handles v')
+  let seen = ref [] in
+  let v' =
+    Value.map_iface_handles
+      (fun h ->
+        seen := h :: !seen;
+        h * 10)
+      v
+  in
+  Alcotest.(check (list int)) "mapped" [ 10; 20 ] (Value.iface_handles v');
+  Alcotest.(check (list int)) "left to right" [ 1; 2 ] (List.rev !seen);
+  (* Parts the map leaves unchanged are shared, not rebuilt. *)
+  let plain = Value.Struct [ ("a", Value.Int 1); ("b", Value.Arr [ Value.Str "s" ]) ] in
+  Alcotest.(check bool) "no handles: same value" true
+    (Value.map_iface_handles (fun h -> h * 10) plain == plain);
+  Alcotest.(check bool) "unchanged handles: same value" true
+    (Value.map_iface_handles Fun.id v == v);
+  let tail = [ Value.Str "t" ] in
+  match Value.map_iface_handles_list (fun h -> h + 1) (Value.Iface_ref 4 :: tail) with
+  | [ Value.Iface_ref 5; _ ] as l ->
+      Alcotest.(check bool) "untouched tail shared" true (List.tl l == tail)
+  | _ -> Alcotest.fail "map_iface_handles_list"
 
 (* --- Marshal_size -------------------------------------------------- *)
 
