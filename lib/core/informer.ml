@@ -41,33 +41,3 @@ let measure_call itype ~meth ~ins ~outs ~ret =
     with
     | sizes -> sizes
     | exception Marshal_size.Err _ -> non_remotable
-
-let outgoing_handles itype ~meth ~outs ~ret =
-  let procs = Itype.procs itype meth in
-  let from_params =
-    List.concat
-      (List.mapi
-         (fun i iproc ->
-           if Midl.iface_walk_trivial iproc then []
-           else
-             match List.nth_opt procs.Midl.request_procs i with
-             | Some ((Idl_type.Out | Idl_type.In_out), _) ->
-                 Midl.handles_with iproc (List.nth outs i)
-             | Some (Idl_type.In, _) | None -> [])
-         procs.Midl.iface_procs)
-  in
-  if Midl.iface_walk_trivial procs.Midl.ret_iface_proc then from_params
-  else from_params @ Midl.handles_with procs.Midl.ret_iface_proc ret
-
-let incoming_handles itype ~meth ~ins =
-  let procs = Itype.procs itype meth in
-  List.concat
-    (List.mapi
-       (fun i iproc ->
-         if Midl.iface_walk_trivial iproc then []
-         else
-           match List.nth_opt procs.Midl.request_procs i with
-           | Some ((Idl_type.In | Idl_type.In_out), _) ->
-               Midl.handles_with iproc (List.nth ins i)
-           | Some (Idl_type.Out, _) | None -> [])
-       procs.Midl.iface_procs)

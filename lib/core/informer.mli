@@ -9,10 +9,10 @@
       message sizes (this is where most of the up-to-85% profiling
       overhead comes from);
     - the {b distribution} informer examines parameters only enough to
-      identify interface pointers (under 3% overhead).
-
-    Both also extract the interface handles appearing in a call so the
-    RTE can keep every escaping interface pointer wrapped. *)
+      identify interface pointers (under 3% overhead).  The RTE decides
+      from {!Coign_idl.Midl.method_procs.outputs_ifaces} whether a
+      reply can carry one, and only then rewraps it with
+      {!Coign_idl.Value.map_iface_handles}. *)
 
 type sizes = { request_bytes : int; reply_bytes : int; remotable : bool }
 
@@ -27,15 +27,3 @@ val measure_call :
     parameter, or a value/type mismatch against a non-remotable
     method) yields [{request_bytes = 0; reply_bytes = 0;
     remotable = false}]. *)
-
-val outgoing_handles :
-  Coign_com.Itype.t -> meth:int -> outs:Coign_idl.Value.t list -> ret:Coign_idl.Value.t ->
-  int list
-(** Interface handles escaping from callee to caller ([Out]/[In_out]
-    slots and the return value) — what the distribution informer
-    identifies. Uses the pre-compiled interface-pointer walks, skipping
-    parameters that cannot carry interface pointers. *)
-
-val incoming_handles :
-  Coign_com.Itype.t -> meth:int -> ins:Coign_idl.Value.t list -> int list
-(** Interface handles passed from caller to callee. *)

@@ -99,86 +99,16 @@ let size_with p v =
   | n -> Ok n
   | exception Marshal_size.Err e -> Error e
 
-(* Interface-pointer walk: retain only paths that can reach an Iface.
-   Paths that cannot are compiled to Skip, so the distribution informer
-   touches the minimum number of value nodes. *)
-type iop =
-  | I_skip
-  | I_take                     (* this position is an interface pointer *)
-  | I_array of int
-  | I_struct of (int * int) list  (* (field position, sub-program) for
-                                     fields that can carry ifaces *)
-  | I_ptr of int
+(* Whether a type can carry interface pointers at all, decided once per
+   parameter: the distribution informer skips a parameter that cannot. *)
+type iface_proc = { trivial : bool }
 
-type iface_proc = { iprograms : iop array }
-
-let compile_iface_walk ty =
-  let programs = ref [] in
-  let count = ref 0 in
-  let rec go ty =
-    let idx = !count in
-    incr count;
-    programs := (idx, I_skip) :: !programs;
-    let op =
-      match ty with
-      | Idl_type.Iface _ -> I_take
-      | Idl_type.Array elt ->
-          if Idl_type.contains_iface elt then I_array (go elt) else I_skip
-      | Idl_type.Struct fields ->
-          let interesting =
-            List.filteri (fun _ (_, t) -> Idl_type.contains_iface t) fields
-          in
-          if interesting = [] then I_skip
-          else
-            I_struct
-              (List.concat
-                 (List.mapi
-                    (fun pos (_, t) ->
-                      if Idl_type.contains_iface t then [ (pos, go t) ] else [])
-                    fields))
-      | Idl_type.Ptr pointee ->
-          if Idl_type.contains_iface pointee then I_ptr (go pointee) else I_skip
-      | Idl_type.Void | Idl_type.Int32 | Idl_type.Int64 | Idl_type.Double
-      | Idl_type.Bool | Idl_type.Str | Idl_type.Blob | Idl_type.Opaque _ ->
-          I_skip
-    in
-    programs := (idx, op) :: List.remove_assoc idx !programs;
-    idx
-  in
-  let root = go ty in
-  assert (root = 0);
-  let arr = Array.make !count I_skip in
-  List.iter (fun (i, op) -> arr.(i) <- op) !programs;
-  { iprograms = arr }
-
-let iface_walk_trivial p = p.iprograms.(0) = I_skip
-
-let handles_with p v =
-  let acc = ref [] in
-  let rec run idx v =
-    match (p.iprograms.(idx), v) with
-    | I_skip, _ -> ()
-    | I_take, Value.Iface_ref h -> acc := h :: !acc
-    | I_take, _ -> ()
-    | I_array elt, Value.Arr vs -> List.iter (run elt) vs
-    | I_array _, _ -> ()
-    | I_struct fields, Value.Struct fvs ->
-        let fvs = Array.of_list fvs in
-        List.iter
-          (fun (pos, sub) -> if pos < Array.length fvs then run sub (snd fvs.(pos)))
-          fields
-    | I_struct _, _ -> ()
-    | I_ptr sub, Value.Ref inner -> run sub inner
-    | I_ptr _, _ -> ()
-  in
-  run 0 v;
-  List.rev !acc
+let compile_iface_walk ty = { trivial = not (Idl_type.contains_iface ty) }
+let iface_walk_trivial p = p.trivial
 
 type method_procs = {
   request_procs : (Idl_type.direction * proc) list;
   ret_proc : proc;
-  iface_procs : iface_proc list;
-  ret_iface_proc : iface_proc;
   remotable : bool;
   outputs_ifaces : bool;
 }
@@ -189,8 +119,6 @@ let compile_method (msig : Idl_type.method_sig) =
   {
     request_procs = List.map (fun p -> (p.Idl_type.pdir, compile p.pty)) msig.params;
     ret_proc = compile msig.ret;
-    iface_procs;
-    ret_iface_proc;
     remotable = Idl_type.method_remotable msig;
     outputs_ifaces =
       (not (iface_walk_trivial ret_iface_proc))

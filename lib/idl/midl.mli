@@ -5,10 +5,11 @@
     that with a compilation step from {!Idl_type.t} to a flat opcode
     program that a small interpreter walks alongside the value. The
     compiled walk computes identical sizes to {!Marshal_size} (a tested
-    property) but avoids re-traversing the type term; the distribution
-    informer compiles an even smaller program that only visits the
-    positions where interface pointers can occur, which is the
-    "aggressive optimization of static interface metadata" that brings
+    property) but avoids re-traversing the type term. For the
+    distribution informer each method records, once, whether its reply
+    can carry an interface pointer at all ({!method_procs.outputs_ifaces}),
+    so replies that cannot are never walked: the "aggressive
+    optimization of static interface metadata" that brings
     distribution-time overhead under 3%. *)
 
 type proc
@@ -29,7 +30,8 @@ val size_with_exn : proc -> Value.t -> int
     every intercepted call through this walk. *)
 
 type iface_proc
-(** A compiled walk that only extracts interface handles. *)
+(** What the distribution informer needs to know about a parameter's
+    type: whether it can carry interface pointers. *)
 
 val compile_iface_walk : Idl_type.t -> iface_proc
 
@@ -37,15 +39,9 @@ val iface_walk_trivial : iface_proc -> bool
 (** [true] when the type cannot carry interface pointers, so the
     distribution informer can skip the parameter entirely. *)
 
-val handles_with : iface_proc -> Value.t -> int list
-(** Interface handles in traversal order; equals
-    [Value.iface_handles v] restricted to positions typed [Iface]. *)
-
 type method_procs = {
   request_procs : (Idl_type.direction * proc) list;  (** one per param *)
   ret_proc : proc;
-  iface_procs : iface_proc list;                     (** one per param *)
-  ret_iface_proc : iface_proc;
   remotable : bool;
   outputs_ifaces : bool;
       (** an [Out] or [In_out] parameter, or the return, can carry an

@@ -256,13 +256,6 @@ let test_informer_non_remotable () =
   Alcotest.(check bool) "flagged" false sizes.Informer.remotable;
   Alcotest.(check int) "zero request" 0 sizes.Informer.request_bytes
 
-let test_informer_handles () =
-  let ins = [ Value.Blob 1; Value.Str ""; Value.Iface_ref 7 ] in
-  let outs = [ Value.Blob 1; Value.Str "x"; Value.Iface_ref 8 ] in
-  Alcotest.(check (list int)) "incoming" [ 7 ] (Informer.incoming_handles i_mixed ~meth:0 ~ins);
-  Alcotest.(check (list int)) "outgoing" [ 8; 9 ]
-    (Informer.outgoing_handles i_mixed ~meth:0 ~outs ~ret:(Value.Iface_ref 9))
-
 (* --- Constraints / static analysis ---------------------------------- *)
 
 let test_static_analysis () =
@@ -387,7 +380,6 @@ let suite =
     Alcotest.test_case "event recorder and tee" `Quick test_event_recorder_and_tee;
     Alcotest.test_case "informer measures" `Quick test_informer_measures;
     Alcotest.test_case "informer non-remotable" `Quick test_informer_non_remotable;
-    Alcotest.test_case "informer handles" `Quick test_informer_handles;
     Alcotest.test_case "static analysis" `Quick test_static_analysis;
     Alcotest.test_case "constraints merge conflict" `Quick test_constraints_merge_conflict;
     Alcotest.test_case "constraints colocate dedup" `Quick test_constraints_colocate_dedup;

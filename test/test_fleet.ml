@@ -439,6 +439,50 @@ let test_fleetsim_deterministic_across_domains () =
   | Ok _ -> Alcotest.fail "grid JSON is not an array"
   | Error e -> Alcotest.fail ("grid JSON does not parse: " ^ e)
 
+(* --- The fleet preset over three apps ----------------------------------- *)
+
+(* Pools of one to three against the clean, single-host crash and global
+   partition regimes (500 ms from 50 ms) on three apps. A pool of one is
+   the resilience configuration in every cell; under the crash, every
+   replicated pool keeps strictly more of the clean run's remote calls
+   than the ladder, which has retreated to all-client, on at least two
+   of the three apps. *)
+let test_fleet_grid_three_apps () =
+  let faults = Fault_grid.fleet_faults ~start_us:50_000. ~length_us:500_000. in
+  let crash = List.find (fun f -> f.Fault_grid.f_scope = Fault_grid.Host0) faults in
+  let improved =
+    List.filter
+      (fun (name, sc_id) ->
+        let app = Suite.find_app name in
+        let sc = App.scenario app sc_id in
+        let image = Adps.instrument app.App.app_image in
+        let image, _ = Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run in
+        let g =
+          Fault_grid.run ~seed:0x5EEDL ~engines:(Fault_grid.fleet_engines ~pools:3) ~faults
+            ~image ~registry:app.App.app_registry ~network:Network.ethernet_10 sc.App.sc_run
+        in
+        let stats e f = (Fault_grid.outcome g e f).Fault_grid.o_stats in
+        List.iter
+          (fun f ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: pool 1 == resilience, %s window %g us" sc_id
+                 (if f.Fault_grid.f_scope = Fault_grid.Host0 then "host-0" else "global")
+                 f.Fault_grid.f_length_us)
+              true
+              (stats (Fault_grid.Pool 1) f = stats Fault_grid.Resilience f))
+          faults;
+        let ladder = Fault_grid.served g (stats Fault_grid.Resilience crash) in
+        List.for_all
+          (fun k -> Fault_grid.served g (stats (Fault_grid.Pool k) crash) > ladder)
+          [ 2; 3 ])
+      [ ("octarine", "o_oldwp0"); ("photodraw", "p_oldmsr"); ("benefits", "b_vueone") ]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "replicated pools out-serve the ladder under the crash on %s (need 2 of 3)"
+       (String.concat ", " (List.map snd improved)))
+    true
+    (List.length improved >= 2)
+
 (* --- The three presets agree through the driver ------------------------ *)
 
 let test_presets_agree () =
@@ -545,5 +589,7 @@ let suite =
     Alcotest.test_case "fleet grid deterministic across domains" `Slow
       test_fleetsim_deterministic_across_domains;
     Alcotest.test_case "faultsim, resilience and fleet presets agree" `Slow test_presets_agree;
+    Alcotest.test_case "fleet grid over three apps: pool of one, crash service" `Slow
+      test_fleet_grid_three_apps;
     Alcotest.test_case "cli fleet golden output" `Slow test_fleet_golden;
   ]

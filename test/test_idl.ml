@@ -199,12 +199,6 @@ let prop_compiled_size_equals_interpreted =
       let proc = Midl.compile ty in
       Midl.size_with proc v = Marshal_size.value_size ty v)
 
-let prop_iface_walk_equals_handles =
-  QCheck.Test.make ~name:"compiled iface walk finds the same handles" ~count:500 arb_typed_value
-    (fun (ty, v) ->
-      let proc = Midl.compile_iface_walk ty in
-      Midl.handles_with proc v = Value.iface_handles v)
-
 let test_iface_walk_trivial () =
   Alcotest.(check bool) "blob trivial" true
     (Midl.iface_walk_trivial (Midl.compile_iface_walk Idl_type.Blob));
@@ -304,7 +298,6 @@ let suite =
     Alcotest.test_case "call request only" `Quick test_call_request_only;
     Alcotest.test_case "call arity mismatch" `Quick test_call_arity_mismatch;
     qtest prop_compiled_size_equals_interpreted;
-    qtest prop_iface_walk_equals_handles;
     Alcotest.test_case "iface walk trivial" `Quick test_iface_walk_trivial;
     Alcotest.test_case "method procs match marshal" `Quick test_method_procs_match_marshal;
     Alcotest.test_case "method procs remotable flag" `Quick test_method_procs_remotable_flag;

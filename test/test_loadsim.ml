@@ -8,20 +8,25 @@ let qtest = QCheck_alcotest.to_alcotest
 let network = Network.ethernet_10
 let bits = Int64.bits_of_float
 
-(* One analyzed benefits image, built once and shared: loadsim never
-   mutates it (every run decodes its own classifier). *)
-let benefits_img =
+(* An app profiled over its scenarios and analyzed, built once and
+   shared: loadsim never mutates it (every run decodes its own
+   classifier). *)
+let analyzed name scenarios =
   lazy
-    (let app = Suite.find_app "benefits" in
-     let image = Adps.instrument app.App.app_image in
-     let image, _ =
-       Adps.profile ~image ~registry:app.App.app_registry (App.scenario app "b_vueone").App.sc_run
-     in
-     let image, _ =
-       Adps.profile ~image ~registry:app.App.app_registry (App.scenario app "b_addone").App.sc_run
+    (let app = Suite.find_app name in
+     let image =
+       List.fold_left
+         (fun image id ->
+           fst
+             (Adps.profile ~image ~registry:app.App.app_registry (App.scenario app id).App.sc_run))
+         (Adps.instrument app.App.app_image) scenarios
      in
      let net = Net_profiler.profile (Prng.create 7L) network in
      fst (Adps.analyze ~image ~net ()))
+
+let benefits_img = analyzed "benefits" [ "b_vueone"; "b_addone" ]
+let octarine_img = analyzed "octarine" [ "o_oldwp0"; "o_oldtb0" ]
+let ingest_img = analyzed "ingest" [ "i_strm1"; "i_replay" ]
 
 (* --- Hand-computed queueing trace ----------------------------------- *)
 
@@ -112,43 +117,53 @@ let test_hand_trace_multi_op () =
    fault-free walk, and a fault-free Fault.call charges exactly
    request + reply. *)
 let test_identity_gate () =
-  let image = Lazy.force benefits_img in
-  let app = Suite.find_app "benefits" in
-  let sc = App.scenario app "b_vueone" in
-  let classifier, dist = Option.get (Adps.load_distribution image) in
-  let events =
-    Replay.record_scenario ~registry:app.App.app_registry ~classifier sc.App.sc_run
+  let check name img id =
+    let image = Lazy.force img in
+    let app = Suite.find_app name in
+    let sc = App.scenario app id in
+    let classifier, dist = Option.get (Adps.load_distribution image) in
+    let events =
+      Replay.record_scenario ~registry:app.App.app_registry ~classifier sc.App.sc_run
+    in
+    let est = Replay.what_if ~events ~distribution:dist ~network () in
+    Alcotest.(check bool) (id ^ ": estimate is non-trivial") true (est.Replay.re_comm_us > 0.);
+    let r =
+      Loadsim.run ~queueing:false ~sessions:1 ~scenarios:[ id ]
+        ~arrival:(Loadsim.Poisson 50.) ~seed:3L ~image ~network ()
+    in
+    Alcotest.(check int64) (id ^ ": p50 == replay comm, bit-exact") (bits est.Replay.re_comm_us)
+      (bits r.Loadsim.r_p50_us);
+    Alcotest.(check int64) (id ^ ": p99 == replay comm, bit-exact") (bits est.Replay.re_comm_us)
+      (bits r.Loadsim.r_p99_us);
+    match r.Loadsim.r_classes with
+    | [ c ] ->
+        Alcotest.(check int64) (id ^ ": class comm == replay comm, bit-exact")
+          (bits est.Replay.re_comm_us) (bits c.Loadsim.cs_comm_us)
+    | _ -> Alcotest.fail (id ^ ": expected exactly one session class")
   in
-  let est = Replay.what_if ~events ~distribution:dist ~network () in
-  Alcotest.(check bool) "estimate is non-trivial" true (est.Replay.re_comm_us > 0.);
-  let r =
-    Loadsim.run ~queueing:false ~sessions:1 ~scenarios:[ "b_vueone" ]
-      ~arrival:(Loadsim.Poisson 50.) ~seed:3L ~image ~network ()
-  in
-  Alcotest.(check int64) "p50 == replay comm, bit-exact" (bits est.Replay.re_comm_us)
-    (bits r.Loadsim.r_p50_us);
-  Alcotest.(check int64) "p99 == replay comm, bit-exact" (bits est.Replay.re_comm_us)
-    (bits r.Loadsim.r_p99_us);
-  match r.Loadsim.r_classes with
-  | [ c ] ->
-      Alcotest.(check int64) "class comm == replay comm, bit-exact"
-        (bits est.Replay.re_comm_us) (bits c.Loadsim.cs_comm_us)
-  | _ -> Alcotest.fail "expected exactly one session class"
+  check "benefits" benefits_img "b_vueone";
+  List.iter (check "octarine" octarine_img) [ "o_oldwp0"; "o_oldtb0" ];
+  List.iter (check "ingest" ingest_img) [ "i_strm1"; "i_replay" ]
 
 (* --- Load-dependence ------------------------------------------------- *)
 
 let test_p99_grows_with_rate () =
-  let image = Lazy.force benefits_img in
-  let p99 rate =
-    (Loadsim.run ~sessions:600 ~scenarios:[ "b_vueone"; "b_addone" ]
-       ~arrival:(Loadsim.Poisson rate) ~seed:21L ~image ~network ())
-      .Loadsim.r_p99_us
+  let check img ~sessions ~seed scenarios (r1, r2, r3) =
+    let image = Lazy.force img in
+    let p99 rate =
+      (Loadsim.run ~sessions ~scenarios ~arrival:(Loadsim.Poisson rate) ~seed ~image ~network ())
+        .Loadsim.r_p99_us
+    in
+    let a = p99 r1 and b = p99 r2 and c = p99 r3 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s p99 strictly increasing: %.0f < %.0f < %.0f"
+         (String.concat "+" scenarios) a b c)
+      true
+      (a < b && b < c)
   in
-  let a = p99 10. and b = p99 40. and c = p99 160. in
-  Alcotest.(check bool)
-    (Printf.sprintf "p99 strictly increasing: %.0f < %.0f < %.0f" a b c)
-    true
-    (a < b && b < c)
+  check benefits_img ~sessions:600 ~seed:21L [ "b_vueone"; "b_addone" ] (10., 40., 160.);
+  check octarine_img ~sessions:1_500 ~seed:0x5EEDL [ "o_oldwp0"; "o_oldtb0" ] (0.5, 1., 2.);
+  check ingest_img ~sessions:1_500 ~seed:0x5EEDL [ "i_strm1"; "i_replay" ] (5., 10., 15.)
 
 (* --- Metrics --------------------------------------------------------- *)
 

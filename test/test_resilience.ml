@@ -506,31 +506,49 @@ let test_execute_zero_fault_identity_with_ladder () =
 (* --- The resilience grid ---------------------------------------------- *)
 
 let test_resilsim_improves_availability () =
-  (* Sustained mid-run partition on photodraw: the retry-only baseline
-     aborts partway (availability < 1) while the resilient run fails
-     over and finishes. *)
-  let app = Photodraw.app in
-  let sc = App.scenario app "p_oldmsr" in
-  let image = Adps.instrument app.App.app_image in
-  let image, _ = Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run in
-  let grid =
-    Fault_grid.run ~engines:[ Fault_grid.Retry; Fault_grid.Resilience ]
-      ~faults:
-        (Fault_grid.drop_partition_faults ~drop_rates:[ 0. ] ~partitions_us:[ 500_000. ]
-           ~start_us:50_000.)
-      ~image ~registry:app.App.app_registry ~network:Network.atm_155 sc.App.sc_run
+  (* A sustained mid-run partition (50-550 ms on ATM) over three apps.
+     Fault-free, the attached ladder changes nothing; under the
+     partition the retry-only baseline aborts partway while the
+     resilient run fails over, strictly improving availability on at
+     least two of the three apps. On photodraw the baseline is cut
+     short and the resilient run finishes. *)
+  let partition_runs (app, sc_id) =
+    let sc = App.scenario app sc_id in
+    let image = Adps.instrument app.App.app_image in
+    let image, _ = Adps.profile ~image ~registry:app.App.app_registry sc.App.sc_run in
+    let grid =
+      Fault_grid.run ~engines:[ Fault_grid.Retry; Fault_grid.Resilience ]
+        ~faults:
+          (Fault_grid.drop_partition_faults ~drop_rates:[ 0. ] ~partitions_us:[ 0.; 500_000. ]
+             ~start_us:50_000.)
+        ~image ~registry:app.App.app_registry ~network:Network.atm_155 sc.App.sc_run
+    in
+    match grid.Fault_grid.g_faults with
+    | [ clean; partition ] ->
+        let side e f = (Fault_grid.outcome grid e f).Fault_grid.o_stats in
+        Alcotest.(check bool) (sc_id ^ ": zero-fault run identical with the ladder") true
+          (side Fault_grid.Retry clean = side Fault_grid.Resilience clean);
+        let avail = Fault_grid.availability grid in
+        let baseline = side Fault_grid.Retry partition
+        and resilient = side Fault_grid.Resilience partition in
+        (sc_id, baseline, resilient, avail resilient > avail baseline)
+    | faults -> Alcotest.fail (Printf.sprintf "expected 2 faults, got %d" (List.length faults))
   in
-  match grid.Fault_grid.g_faults with
-  | [ fault ] ->
-      let side e = (Fault_grid.outcome grid e fault).Fault_grid.o_stats in
-      let baseline = side Fault_grid.Retry and resilient = side Fault_grid.Resilience in
-      let avail = Fault_grid.availability grid in
-      Alcotest.(check bool) "baseline is cut short" false baseline.Adps.es_completed;
-      Alcotest.(check bool) "resilient run completes" true resilient.Adps.es_completed;
-      Alcotest.(check bool) "availability strictly improves" true
-        (avail resilient > avail baseline);
-      Alcotest.(check bool) "the ladder was used" true (resilient.Adps.es_failovers > 0)
-  | faults -> Alcotest.fail (Printf.sprintf "expected 1 fault, got %d" (List.length faults))
+  let runs =
+    List.map partition_runs
+      [ (Octarine.app, "o_oldwp0"); (Photodraw.app, "p_oldmsr"); (Benefits.app, "b_vueone") ]
+  in
+  let improved = List.filter (fun (_, _, _, better) -> better) runs in
+  Alcotest.(check bool)
+    (Printf.sprintf "availability strictly improves on %s (need 2 of 3)"
+       (String.concat ", " (List.map (fun (id, _, _, _) -> id) improved)))
+    true
+    (List.length improved >= 2);
+  let _, baseline, resilient, better = List.find (fun (id, _, _, _) -> id = "p_oldmsr") runs in
+  Alcotest.(check bool) "baseline is cut short" false baseline.Adps.es_completed;
+  Alcotest.(check bool) "resilient run completes" true resilient.Adps.es_completed;
+  Alcotest.(check bool) "availability strictly improves" true better;
+  Alcotest.(check bool) "the ladder was used" true (resilient.Adps.es_failovers > 0)
 
 let test_resilsim_deterministic_across_domains () =
   let image, registry, scenario = Lazy.force prepared_octarine in

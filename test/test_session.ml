@@ -66,6 +66,18 @@ let preset_nets seed =
        (fun network -> Net_profiler.profile (Coign_util.Prng.create seed) network)
        Network.presets
 
+(* A real profile: photodraw's p_oldmsr under its image's static and
+   programmer constraints. *)
+let photodraw_profile () =
+  let app = Coign_apps.Photodraw.app in
+  let sc = Coign_apps.App.scenario app "p_oldmsr" in
+  let image = Adps.instrument app.Coign_apps.App.app_image in
+  let image, _ =
+    Adps.profile ~image ~registry:app.Coign_apps.App.app_registry sc.Coign_apps.App.sc_run
+  in
+  let classifier, icc = Option.get (Adps.load_profile image) in
+  (classifier, icc, Constraints.merge (Constraints.of_image image) (Adps.static_constraints image))
+
 let test_session_matches_choose () =
   let classifier, icc, constraints = sample_profile () in
   let session = Analysis.Session.create ~classifier ~icc ~constraints () in
@@ -74,7 +86,20 @@ let test_session_matches_choose () =
       let fresh = Analysis.choose ~classifier ~icc ~constraints ~net () in
       let solved = Analysis.Session.solve session ~net in
       check_same net.Net_profiler.profiled_name fresh solved)
-    (preset_nets 3L)
+    (preset_nets 3L);
+  (* One long-lived session over photodraw, re-cut across 24 networks
+     from ISDN to SAN, encodes exactly what a fresh analysis of each
+     point encodes. *)
+  let classifier, icc, constraints = photodraw_profile () in
+  let session = Analysis.Session.create ~classifier ~icc ~constraints () in
+  List.iter
+    (fun network ->
+      let net = Net_profiler.profile (Coign_util.Prng.create 11L) network in
+      Alcotest.(check string)
+        ("photodraw session == choose on " ^ net.Net_profiler.profiled_name)
+        (Analysis.encode (Analysis.choose ~classifier ~icc ~constraints ~net ()))
+        (Analysis.encode (Analysis.Session.solve session ~net)))
+    (Network.geometric_sweep ~points:24 ~from_net:Network.isdn_128 ~to_net:Network.san_1g ())
 
 let test_session_reuse_interleaved () =
   (* Re-solving an earlier network after pricing a very different one
